@@ -4,7 +4,6 @@ import pytest
 from repro.datasets import inject_missing, retailer
 from repro.datasets.plans import retailer_plan
 from repro.mice import run_mice
-from repro.mice.factorized_low import mice_low_factorized
 
 SF = 0.01
 RATE = 0.2
@@ -26,8 +25,8 @@ def case(spark):
 @pytest.mark.benchmark(group="t6-normalized")
 def test_table6_factorized(benchmark, case):
     benchmark.pedantic(
-        lambda: mice_low_factorized(case["fact"], case["plan"],
-                                    ["inventoryunits"], iters=1, noise=True),
+        lambda: run_mice(case["fact"], case["ds"].schema, ["inventoryunits"],
+                         variant="low", plan=case["plan"], iters=1, noise=True),
         rounds=1, iterations=1,
     )
 

@@ -22,8 +22,9 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.mice.factorized_low import FactorizedPlan
-from repro.ring.factorized import fact_fold, final_fold, keyed_fold, lift_dim
+from repro.ring.factorized import (
+    FactorizedPlan, fact_fold, final_fold, keyed_fold, lift_dim,
+)
 from . import flight as fl
 from . import retailer as rt
 from .base import Dataset
@@ -63,8 +64,8 @@ def flight_plan(spark: SparkSession, ds: Dataset,
 
     categories = _cats_of(ds.tables["flights"], ["diverted"])
     return FactorizedPlan(
-        schema=schema, fact_attrs=fact_attrs, cofactor=cofactor,
-        enrich=enrich, categories=categories,
+        fact_attrs=fact_attrs, cofactor=cofactor, enrich=enrich,
+        categories=categories,
     )
 
 
@@ -115,8 +116,8 @@ def retailer_plan(spark: SparkSession, ds: Dataset,
         **_cats_of(ds.tables["weather"], ["rain"]),
     }
     return FactorizedPlan(
-        schema=schema, fact_attrs=fact_attrs, cofactor=cofactor,
-        enrich=enrich, categories=categories,
+        fact_attrs=fact_attrs, cofactor=cofactor, enrich=enrich,
+        categories=categories,
     )
 
 

@@ -21,15 +21,13 @@ from repro.baselines import midas as midas_mod
 from repro.baselines import miracle as miracle_mod
 from repro.baselines.systemds_like import mice_competitor
 from repro.datasets import airquality, flight, inject_missing, retailer
-from repro.datasets.plans import flight_plan, retailer_plan
+from repro.datasets.plans import PLANS
 from repro.mice import TimingLog, run_mice
-from repro.mice.factorized_low import mice_low_factorized
 from repro.models import train_ridge
 from repro.ring import cofactor_ring, cofactor_sql
 from .quality import downstream_quality, split_train_test
 
 DATASETS = {"flight": flight, "retailer": retailer}
-PLANS = {"flight": flight_plan, "retailer": retailer_plan}
 
 
 def _tick() -> float:
@@ -197,8 +195,8 @@ def table6_normalized(
             fact_sdf = spark.createDataFrame(fact_masked).localCheckpoint(eager=True)
             t = TimingLog()
             plan = PLANS[name](spark, ds)
-            mice_low_factorized(fact_sdf, plan, fact_incomplete, iters=1,
-                                noise=True, seed=seed, timing=t)
+            run_mice(fact_sdf, ds.schema, fact_incomplete, variant="low",
+                     plan=plan, iters=1, noise=True, seed=seed, timing=t)
             rows.append(dict(dataset=name, rate=rate, method="factorized",
                              t_preprocess=round(t.bucket("preprocess"), 3),
                              t_iteration=round(t.bucket("iter"), 3)))

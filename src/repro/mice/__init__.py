@@ -10,7 +10,10 @@ VARIANTS = {"baseline": mice_baseline, "low": mice_low, "high": mice_high}
 
 
 def run_mice(df, schema, incomplete, variant: str = "low", **kwargs) -> MiceResult:
-    """Dispatch to one of the three functionally-equivalent implementations."""
+    """Dispatch to one of the three functionally-equivalent variants.
+
+    ``variant="low"`` also takes ``plan=`` to run over a normalized schema.
+    """
     try:
         impl = VARIANTS[variant]
     except KeyError:

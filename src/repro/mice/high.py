@@ -1,92 +1,19 @@
-"""MICE with observed-count partitioning (paper's HIGH variant).
+"""MICE with observed-count partitioning (paper's HIGH variant); the loop is
+``low.algorithm2`` in ``mode="high"``.
 
-The complete partition (every incomplete attribute observed) contributes the
-same Triple to every training set, so its cofactor is computed once outside
-the loop. Per attribute the training cofactor is the precomputed complete
-part plus one fresh unioned scan of two small partitions: the subpartition
-whose only observed attribute is the target, and the ≥2-observed overflow
-filtered to rows where the target is observed. At high missing rates those
-partitions shrink, making training cheap; updates touch only the non-empty
-partitions holding rows with the target missing.
+The layer entry points below are re-exported only so that a tracer which
+rebinds them by this module's name (``perfbench/spans.py``) finds them; the
+HIGH loop itself calls them through ``low.py``'s bindings and is traced
+there. The re-export goes once the tracer's entry points name ``low`` only.
 """
-from __future__ import annotations
-
-from functools import reduce
-
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-
-from repro.ring import cofactor_ring
-from repro.ring.schema import AttrSchema
-from repro.ring.triple import Triple
-from .baseline import MiceResult
-from .partition import partition
-from .prep import mask_col, prepare
-from .step import apply_imputation, attr_seed, fit
-from .timing import TimingLog
+from .low import (  # noqa: F401
+    algorithm2, apply_imputation, cofactor_ring, fit, partition, prepare,
+)
 
 
-def mice_high(
-    df: DataFrame,
-    schema: AttrSchema,
-    incomplete: list[str],
-    *,
-    iters: int = 1,
-    noise: bool = True,
-    seed: int = 0,
-    l2: float = 1e-3,
-    timing: TimingLog | None = None,
-) -> MiceResult:
-    """Run the HIGH variant (shared complete-part cofactor + partition pruning)."""
-    timing = timing or TimingLog()
-    with timing.time("preprocess.prepare"):
-        prep = prepare(df, schema, incomplete)
-    with timing.time("preprocess.partition"):
-        parts = partition(prep, mode="high")
-    with timing.time("preprocess.complete_cofactor"):
-        c_complete = (
-            cofactor_ring(parts.complete, schema)
-            if parts.count_of("complete") != 0
-            else Triple.zero(schema)
-        )
+def mice_high(df, schema, incomplete, **opts):
+    """Run Algorithm 2 with the high-missing-rate partitioning.
 
-    for it in range(iters):
-        for ai, attr in enumerate(incomplete):
-            mask = F.col(mask_col(attr))
-            with timing.time("iter.cofactor"):
-                pieces = []
-                if parts.count_of(attr) != 0:
-                    pieces.append(parts.single[attr])
-                if parts.count_of("overflow") != 0:
-                    pieces.append(parts.overflow.filter(~mask))
-                union = (
-                    reduce(DataFrame.unionByName,
-                           [p.select(*schema.names) for p in pieces])
-                    if pieces else None
-                )
-                c_train = c_complete + (
-                    cofactor_ring(union, schema) if union is not None
-                    else Triple.zero(schema)
-                )
-            with timing.time("iter.train"):
-                model = fit(c_train, attr, prep, l2=l2)
-            if model is None:
-                continue
-            s = attr_seed(seed, it, ai)
-            with timing.time("iter.update"):
-                # rows with `attr` missing live in: every other single-observed
-                # subpartition, the overflow (masked rows), and `none`.
-                for j, other in enumerate(prep.incomplete):
-                    if other != attr and parts.count_of(other) != 0:
-                        parts.single[other] = apply_imputation(
-                            parts.single[other], model, attr, prep, s + 3 + j, noise
-                        )
-                if parts.count_of("overflow") != 0:
-                    parts.overflow = apply_imputation(
-                        parts.overflow, model, attr, prep, s + 1, noise
-                    )
-                if parts.count_of("none") != 0:
-                    parts.none = apply_imputation(
-                        parts.none, model, attr, prep, s + 2, noise
-                    )
-    return MiceResult(df=parts.union_all(), timing=timing, prep=prep)
+    Takes no ``plan``: factorized evaluation is a LOW-only path.
+    """
+    return algorithm2(df, schema, incomplete, "high", plan=None, **opts)

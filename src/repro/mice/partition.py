@@ -45,13 +45,6 @@ class Partitions:
     def count_of(self, name: str) -> int:
         return self.counts[name] if self.counts is not None else -1
 
-    def unpersist(self) -> None:
-        for df in [self.complete, self.overflow, self.none, *self.single.values()]:
-            try:
-                df.unpersist()
-            except Exception:
-                pass
-
     def union_all(self) -> DataFrame:
         dfs = [self.complete, *self.single.values(), self.overflow, self.none]
         return reduce(DataFrame.unionByName, dfs)

@@ -20,8 +20,7 @@ def attr_seed(base: int, iteration: int, attr_idx: int) -> int:
     return base + 7919 * iteration + 104729 * attr_idx
 
 
-def fit(triple: Triple, target: str, prep: Prepared, *, l2: float = 1e-3,
-        method: str = "solve"):
+def fit(triple: Triple, target: str, prep: Prepared, *, l2: float = 1e-3):
     """Train the imputation model for ``target`` from a training Triple.
 
     Returns ``None`` when the training set is empty (the attribute keeps its
@@ -31,8 +30,7 @@ def fit(triple: Triple, target: str, prep: Prepared, *, l2: float = 1e-3,
         return None
     if prep.schema.is_cat(target):
         return train_lda(triple, target, categories=prep.categories)
-    return train_stochastic(triple, target, l2=l2, method=method,
-                            categories=prep.categories)
+    return train_stochastic(triple, target, l2=l2, categories=prep.categories)
 
 
 def impute_column(model, target: str, prep: Prepared, seed: int,
@@ -46,7 +44,13 @@ def impute_column(model, target: str, prep: Prepared, seed: int,
 
 
 def apply_imputation(df: DataFrame, model, target: str, prep: Prepared,
-                     seed: int, noise: bool, checkpoint: bool = True) -> DataFrame:
-    """Rebuild ``df`` with the imputed target column (the "column swap")."""
-    out = df.withColumn(target, impute_column(model, target, prep, seed, noise))
-    return out.localCheckpoint(eager=True) if checkpoint else out
+                     seed: int, noise: bool, enrich=None) -> DataFrame:
+    """Rebuild ``df`` with the imputed target column (the "column swap").
+
+    ``enrich`` joins on the attributes the model reads that ``df`` lacks (a
+    factorized plan's dimension attributes); they are dropped again before
+    the checkpoint.
+    """
+    src = enrich(df) if enrich else df
+    out = src.withColumn(target, impute_column(model, target, prep, seed, noise))
+    return out.select(*df.columns).localCheckpoint(eager=True)

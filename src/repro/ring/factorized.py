@@ -23,17 +23,38 @@ Building blocks:
   the driver.
 * ``cofactor_factorized_2`` — the two-table pattern from Example 4, used by
   tests and the Flight plan.
+* ``FactorizedPlan`` — a dataset's fold over its join tree plus the
+  ``enrich`` join that MICE uses to predict over normalized data.
 """
 from __future__ import annotations
 
 import pickle
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from .schema import AttrSchema
 from .triple import Triple, lift_block, lift_grouped, triple_sum
+
+
+@dataclass
+class FactorizedPlan:
+    """Dataset-specific factorized evaluation plan.
+
+    ``cofactor(fact_df)`` computes the cofactor Triple of ``fact_df ⋈ dims``
+    without materializing the join; ``enrich(fact_df)`` joins dimension
+    attributes onto the given (small) fact subset for prediction.
+    ``categories`` pins the domain of every categorical attribute. The
+    attribute schema is not part of the plan: callers pass the same schema
+    the plan's folds were built over.
+    """
+
+    fact_attrs: list[str]
+    cofactor: Callable[[DataFrame], Triple]
+    enrich: Callable[[DataFrame], DataFrame]
+    categories: dict[str, list]
 
 
 def lift_dim(pdf: pd.DataFrame, schema: AttrSchema, attrs: Sequence[str],

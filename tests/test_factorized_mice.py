@@ -6,7 +6,6 @@ from pyspark.sql import functions as F
 from repro.datasets import flight, inject_missing, retailer
 from repro.datasets.plans import flight_plan, retailer_plan
 from repro.mice import mice_low
-from repro.mice.factorized_low import mice_low_factorized
 from repro.ring import cofactor_ring
 
 
@@ -66,8 +65,8 @@ class TestFactorizedMice:
         masked, mask = inject_missing(fact_pdf, ["inventoryunits"], 0.2,
                                       "MCAR", seed=3)
         fact_sdf = spark.createDataFrame(masked)
-        res_f = mice_low_factorized(fact_sdf, rt["plan"], ["inventoryunits"],
-                                    iters=1, noise=False)
+        res_f = mice_low(fact_sdf, ds.schema, ["inventoryunits"],
+                         plan=rt["plan"], iters=1, noise=False)
         out_f = res_f.df.orderBy("locn", "dateid", "ksn", "__rid").toPandas()
 
         tables = dict(ds.tables)
@@ -89,8 +88,8 @@ class TestFactorizedMice:
         fact_pdf = ds.tables["inventory"]
         masked, mask = inject_missing(fact_pdf, ["inventoryunits"], 0.3,
                                       "MCAR", seed=4)
-        res = mice_low_factorized(spark.createDataFrame(masked), rt["plan"],
-                                  ["inventoryunits"], iters=1, noise=False)
+        res = mice_low(spark.createDataFrame(masked), ds.schema,
+                       ["inventoryunits"], plan=rt["plan"], iters=1, noise=False)
         out = res.df.orderBy("__rid").toPandas().reset_index(drop=True)
         src = masked.reset_index(drop=True)
         miss = mask["inventoryunits"].to_numpy()
@@ -103,4 +102,12 @@ class TestFactorizedMice:
 
     def test_non_fact_attribute_rejected(self, spark, rt):
         with pytest.raises(ValueError, match="fact attribute"):
-            mice_low_factorized(rt["fact"], rt["plan"], ["population"])
+            mice_low(rt["fact"], rt["ds"].schema, ["population"], plan=rt["plan"])
+
+    def test_undeclared_fact_nulls_rejected(self, spark, fl):
+        """prepare's loud guard also covers the factorized path."""
+        pdf = fl["ds"].tables["flights"].copy()
+        pdf.loc[::5, "taxi_in"] = np.nan
+        with pytest.raises(ValueError, match="not declared"):
+            mice_low(spark.createDataFrame(pdf), fl["ds"].schema, ["distance"],
+                     plan=fl["plan"])

@@ -161,7 +161,6 @@ class TestSharingInvariant:
         )
         direct = cofactor_ring(prep.df.filter(~mask), schema)
         assert (c - delta).allclose(direct, rtol=1e-7, atol=1e-3)
-        parts.unpersist()
 
 
 class TestMisc:
@@ -183,6 +182,12 @@ class TestMisc:
         with pytest.raises(ValueError, match="variant"):
             run_mice(data["sdf"], data["ds"].schema, data["ds"].incomplete,
                      variant="mid")
+
+    def test_high_takes_no_plan(self, data):
+        # factorized evaluation is LOW-only; HIGH must not accept a plan
+        with pytest.raises(TypeError, match="plan"):
+            mice_high(data["sdf"], data["ds"].schema, data["ds"].incomplete,
+                      plan=object())
 
     def test_deterministic_given_seed(self, data):
         ds = data["ds"]

@@ -76,6 +76,13 @@ class TestPrepare:
         with pytest.raises(ValueError, match="not declared"):
             prepare(masked["sdf"], ds.schema, ds.incomplete[:2])
 
+    def test_fully_missing_continuous_rejected(self, masked):
+        """No observed value means no mean to start from: fail loudly."""
+        ds = masked["ds"]
+        sdf = masked["sdf"].withColumn("distance", F.lit(None).cast("double"))
+        with pytest.raises(ValueError, match="'distance' has no observed values"):
+            prepare(sdf, ds.schema, ds.incomplete)
+
 
 class TestPartition:
     @pytest.fixture(scope="class", params=["low", "high"])
