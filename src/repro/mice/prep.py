@@ -104,9 +104,10 @@ def prepare(df: DataFrame, schema: AttrSchema, incomplete: list[str],
             for a in schema.categorical
         }
 
-    # coalesce to core count: downstream partitions inherit this count,
-    # so per-attribute delta scans schedule ~2×cores tasks instead of
-    # hundreds of near-empty ones (which would dominate Low's runtime)
+    # coalesce to core count: the partition frames and every imputation
+    # update inherit this count, so checkpointed rewrites run one task per
+    # core instead of hundreds of near-empty ones (cofactor scans cap their
+    # own task count in cofactor_ring)
     dp = out.sparkSession.sparkContext.defaultParallelism
     out = out.coalesce(dp).localCheckpoint(eager=True)
     return Prepared(df=out, schema=schema, incomplete=list(incomplete),

@@ -21,8 +21,6 @@ Building blocks:
 * ``keyed_fold``     — same fold over an already-keyed triple DataFrame.
 * ``final_fold``     — collect a small keyed triple DataFrame and finish on
   the driver.
-* ``cofactor_factorized_2`` — the two-table pattern from Example 4, used by
-  tests and the Flight plan.
 * ``FactorizedPlan`` — a dataset's fold over its join tree plus the
   ``enrich`` join that MICE uses to predict over normalized data.
 """
@@ -36,7 +34,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from .schema import AttrSchema
-from .triple import Triple, lift_block, lift_grouped, triple_sum
+from .triple import Triple, lift_grouped
 
 
 @dataclass
@@ -206,25 +204,3 @@ def final_fold(keyed: DataFrame, schema: AttrSchema,
         acc = acc + t
     return acc
 
-
-def cofactor_factorized_2(left: DataFrame, right: DataFrame, schema: AttrSchema,
-                          left_attrs: Sequence[str], right_attrs: Sequence[str],
-                          key: str) -> Triple:
-    """Example 4: SUM(t1.T * t2.T) over pre-aggregated per-key triples.
-
-    Both sides are aggregated in Spark; the pairwise multiply + global sum
-    runs distributed via ``mapInPandas`` over the joined keyed triples.
-    """
-    t1 = fact_fold(left, schema, left_attrs, [], None, [key]).withColumnRenamed("t", "t1")
-    t2 = fact_fold(right, schema, right_attrs, [], None, [key]).withColumnRenamed("t", "t2")
-    joined = t1.join(t2, on=key, how="inner").select("t1", "t2")
-
-    def mul_sum(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        acc = Triple.zero(schema)
-        for b in batches:
-            for a, c in zip(b["t1"], b["t2"]):
-                acc = acc + pickle.loads(a) * pickle.loads(c)
-        yield pd.DataFrame({"t": [pickle.dumps(acc)]})
-
-    rows = joined.mapInPandas(mul_sum, "t binary").collect()
-    return triple_sum((pickle.loads(r.t) for r in rows), schema)

@@ -479,14 +479,15 @@ def lift_grouped(pdf: pd.DataFrame, schema: AttrSchema,
             )
         if cont:
             gsum = pdf.groupby(by + [cname], sort=False, observed=True)[cont].sum()
-            for k, row in gsum.iterrows():
+            pks = [(i, j) if i <= j else (j, i) for j in map(schema.index, cont)]
+            # one NumPy conversion, rows walked by position: building a
+            # pandas Series per row (iterrows) dominated this function
+            for k, row in zip(gsum.index, gsum.to_numpy(dtype=np.float64)):
                 key, cv = norm_key(k[:-1] if len(by) > 1 else k[0]), _py(k[-1])
-                t = out[key]
-                for ccol in cont:
-                    j = schema.index(ccol)
-                    pk = (i, j) if i <= j else (j, i)
-                    rel = t.q.setdefault(pk, {})
-                    rel[cv] = rel.get(cv, 0.0) + float(row[ccol])
+                q = out[key].q
+                for pk, v in zip(pks, row.tolist()):
+                    rel = q.setdefault(pk, {})
+                    rel[cv] = rel.get(cv, 0.0) + v
 
     for a in range(len(cats)):
         for b in range(a + 1, len(cats)):

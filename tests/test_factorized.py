@@ -1,16 +1,99 @@
 """Factorized cofactor evaluation == cofactor over the materialized join."""
+import pickle
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.ring import AttrSchema, cofactor_ring
-from repro.ring.factorized import (
-    cofactor_factorized_2,
-    fact_fold,
-    final_fold,
-    keyed_fold,
-    lift_dim,
-)
+from repro.ring.factorized import fact_fold, final_fold, keyed_fold, lift_dim
+from repro.ring.triple import Triple, _py, triple_sum
+
+
+def cofactor_factorized_2(left, right, schema, left_attrs, right_attrs, key):
+    """Example 4: SUM(t1.T * t2.T) over pre-aggregated per-key triples.
+
+    Both sides are aggregated in Spark; the pairwise multiply + global sum
+    runs distributed via ``mapInPandas`` over the joined keyed triples.
+    """
+    t1 = fact_fold(left, schema, left_attrs, [], None, [key]).withColumnRenamed("t", "t1")
+    t2 = fact_fold(right, schema, right_attrs, [], None, [key]).withColumnRenamed("t", "t2")
+    joined = t1.join(t2, on=key, how="inner").select("t1", "t2")
+
+    def mul_sum(batches):
+        acc = Triple.zero(schema)
+        for b in batches:
+            for a, c in zip(b["t1"], b["t2"]):
+                acc = acc + pickle.loads(a) * pickle.loads(c)
+        yield pd.DataFrame({"t": [pickle.dumps(acc)]})
+
+    rows = joined.mapInPandas(mul_sum, "t binary").collect()
+    return triple_sum((pickle.loads(r.t) for r in rows), schema)
+
+
+def _lift_grouped_iterrows(pdf, schema, attrs, by):
+    """Frozen copy of ``lift_grouped``'s earlier assembly, the reference for
+    exact equality: the same pandas group-bys, with the per-(key, category)
+    continuous sums read back row by row through ``iterrows``."""
+    cont = [n for n in attrs if not schema.is_cat(schema.index(n))]
+    cats = [n for n in attrs if schema.is_cat(schema.index(n))]
+
+    def norm_key(k):
+        return _py(k[0]) if isinstance(k, tuple) and len(by) == 1 else (
+            tuple(_py(x) for x in k) if isinstance(k, tuple) else _py(k)
+        )
+
+    work_cols, pair_names = {}, []
+    xc = pdf[cont].to_numpy(dtype=np.float64, copy=False)
+    for a, ca in enumerate(cont):
+        work_cols[f"__s_{a}"] = xc[:, a]
+        for b in range(a, len(cont)):
+            i, j = schema.index(ca), schema.index(cont[b])
+            work_cols[f"__q_{a}_{b}"] = xc[:, a] * xc[:, b]
+            pair_names.append((f"__q_{a}_{b}", *((i, j) if i <= j else (j, i))))
+    work = pd.DataFrame(work_cols, index=pdf.index)
+    work[by] = pdf[by]
+    gb = work.groupby(by, sort=False, observed=True)
+    sizes, agg = gb.size(), gb.sum()
+    col_pos = {c: k for k, c in enumerate(agg.columns)}
+    mat, nvec = agg.to_numpy(dtype=np.float64), sizes.to_numpy(dtype=np.float64)
+    out = {}
+    for r, k in enumerate(agg.index):
+        s = {schema.index(ca): mat[r][col_pos[f"__s_{a}"]] for a, ca in enumerate(cont)}
+        q = {(i, j): mat[r][col_pos[col]] for col, i, j in pair_names}
+        out[norm_key(k)] = Triple(schema, nvec[r], s, q)
+
+    for cname in cats:
+        i = schema.index(cname)
+        counts = pdf.groupby(by + [cname], sort=False, observed=True).size()
+        for k, v in counts.items():
+            key, cv = norm_key(k[:-1] if len(by) > 1 else k[0]), _py(k[-1])
+            t = out[key]
+            t.s.setdefault(i, {})[cv] = t.s.get(i, {}).get(cv, 0.0) + float(v)
+            t.q.setdefault((i, i), {})[cv] = t.q.get((i, i), {}).get(cv, 0.0) + float(v)
+        gsum = pdf.groupby(by + [cname], sort=False, observed=True)[cont].sum()
+        for k, row in gsum.iterrows():
+            key, cv = norm_key(k[:-1] if len(by) > 1 else k[0]), _py(k[-1])
+            t = out[key]
+            for ccol in cont:
+                j = schema.index(ccol)
+                rel = t.q.setdefault((i, j) if i <= j else (j, i), {})
+                rel[cv] = rel.get(cv, 0.0) + float(row[ccol])
+
+    for a in range(len(cats)):
+        for b in range(a + 1, len(cats)):
+            i, j = schema.index(cats[a]), schema.index(cats[b])
+            swap = i > j
+            if swap:
+                i, j = j, i
+            pair = pdf.groupby(by + [cats[a], cats[b]], sort=False, observed=True).size()
+            for k, v in pair.items():
+                key = norm_key(k[:-2] if len(by) > 1 else k[0])
+                va, vb = _py(k[-2]), _py(k[-1])
+                rel_key = (vb, va) if swap else (va, vb)
+                rel = out[key].q.setdefault((i, j), {})
+                rel[rel_key] = rel.get(rel_key, 0.0) + float(v)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +169,37 @@ class TestLiftGrouped:
         for k in sample:
             grp = j[(j["k1"] == k[0]) & (j["k2"] == k[1])]
             assert got[k].allclose(lift_block(grp, schema, ["x", "b", "c"]))
+
+    def test_bit_identical_to_iterrows_assembly(self):
+        """Every n, s and q entry equals the row-by-row reference exactly:
+        two key columns, two categoricals (one key lacks a category), and
+        float and integer continuous attributes."""
+        from repro.ring.triple import lift_grouped
+
+        g = np.random.default_rng(11)
+        n = 4000
+        pdf = pd.DataFrame({
+            "k1": g.integers(0, 6, n),
+            "k2": g.integers(0, 4, n),
+            "x": g.normal(3, 10, n),
+            "y": g.lognormal(2, 1, n),
+            "z": g.integers(-50, 50, n),
+            "c1": g.choice(["u", "v", "w"], n),
+            "c2": g.integers(0, 3, n),
+        })
+        pdf.loc[pdf["k1"] == 0, "c1"] = "u"
+        # interleaved, so cat x cont pairs are keyed both (cat, cont) and (cont, cat)
+        schema = AttrSchema(("y", "c2", "x", "c1", "z"), (False, True, False, True, False))
+        attrs = ["x", "c1", "y", "c2", "z"]
+        got = lift_grouped(pdf, schema, attrs, ["k1", "k2"])
+        want = _lift_grouped_iterrows(pdf, schema, attrs, ["k1", "k2"])
+        i_c1 = schema.index("c1")
+        assert set(got[(0, 0)].s[i_c1]) == {"u"} and len(want) == 24
+        assert got.keys() == want.keys()
+        for k, t in want.items():
+            assert got[k].n == t.n, k
+            assert got[k].s == t.s, k
+            assert got[k].q == t.q, k
 
     def test_empty_frame(self, star):
         from repro.ring.triple import lift_grouped

@@ -113,6 +113,23 @@ class TestSubsetsAndPartitions:
         t8 = cofactor_ring(li.repartition(8), LI_SCHEMA)
         assert t8.allclose(ring_triple, rtol=1e-9, atol=1e-4)
 
+    def test_task_cap(self, spark, li, ring_triple):
+        """A 50-partition input is lifted in at most one Python task per core."""
+        sc = spark.sparkContext
+        wide = li.repartition(50).localCheckpoint(eager=True)
+        sc.setJobGroup("test-task-cap", "cofactor_ring over 50 partitions")
+        try:
+            t = cofactor_ring(wide, LI_SCHEMA)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        st = sc.statusTracker()
+        tasks = sum(st.getStageInfo(sid).numTasks
+                    for jid in st.getJobIdsForGroup("test-task-cap")
+                    for sid in st.getJobInfo(jid).stageIds)
+        assert 0 < tasks <= sc.defaultParallelism
+        assert t.allclose(ring_triple, rtol=1e-9, atol=1e-4)
+
     def test_single_partition_same_triple(self, li, ring_triple):
         t1 = cofactor_ring(li.coalesce(1), LI_SCHEMA)
         assert t1.allclose(ring_triple, rtol=1e-9, atol=1e-4)
