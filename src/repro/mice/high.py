@@ -1,5 +1,7 @@
 """MICE with observed-count partitioning (paper's HIGH variant); the loop is
-``low.algorithm2`` in ``mode="high"``.
+``low.algorithm2`` in ``mode="high"``: per attribute step one scan of the
+observed rows of ``missing`` (the first fused with ``C_complete``) and one
+update of ``missing``, the same two-frame layout as Low.
 
 The layer entry points below are re-exported only so that a tracer which
 rebinds them by this module's name (``perfbench/spans.py``) finds them; the

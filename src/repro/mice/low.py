@@ -3,34 +3,47 @@
 One loop runs both of the paper's partitionings (``partition.py``):
 
 * ``mode="low"`` — one global cofactor Triple ``C`` over the
-  initially-imputed data is computed once, outside the loop (excluding the
-  all-missing partition, which belongs to no training set). Per attribute
-  the training cofactor is derived by ring subtraction, ``C_train = C − ΔC``,
-  where ``ΔC`` scans only the rows with that attribute missing. After
-  imputing, ``C`` is restored incrementally: ``C = C_train + ΔC'`` with
-  ``ΔC'`` over the freshly imputed rows — the full-data scan never recurs.
+  initially-imputed data (excluding the all-missing partition, which
+  belongs to no training set) is computed once, before the loop. Per
+  attribute the training cofactor is derived by ring subtraction,
+  ``C_train = C − ΔC``, where ``ΔC`` covers only the rows with that
+  attribute missing. After imputing, ``C`` is restored incrementally:
+  ``C = C_train + ΔC'`` with ``ΔC'`` over the freshly imputed rows — the
+  full-data scan never recurs.
 * ``mode="high"`` — the complete partition contributes the same Triple to
   every training set, so only its cofactor is precomputed. Per attribute the
-  training cofactor is ``C_complete`` plus a scan of the rows with that
-  attribute observed; at high missing rates those rows are few.
+  training cofactor is ``C_complete`` plus the cofactor of the incomplete
+  rows with that attribute observed; at high missing rates those are few.
 
-In both modes the per-attribute scan reads ``single[attr]`` plus the
-overflow rows in the same mask state, as one unioned Spark job, and the
-update rewrites only the non-empty partitions holding rows with ``attr``
-missing. Partition membership is fixed (masks never change), so empty
-partitions are skipped without issuing Spark jobs.
+The data is two checkpointed frames, ``complete`` (never rewritten) and
+``missing``; the paper's partitions are predicates over ``missing``. Each
+attribute step is one update and one scan:
+
+* the update rewrites ``missing`` once, with the seed Algorithm 1 uses for
+  the same (iteration, attribute), so with noise on every variant draws
+  the same noise for the same cell (``partition.py`` says why);
+* the scan is one ``cofactor_ring`` pass over ``missing`` with a predicate
+  per triple: Low's ``ΔC'`` of this step fused with ``ΔC`` of the next,
+  High's observed rows of the next step. The precomputed ``C`` (Low) or
+  ``C_complete`` (High) is fused with the first step's scan, and the last
+  step's ``ΔC'``, whose ``C`` is never read, is not computed. A round of
+  ``iters`` iterations over ``m`` attributes thus runs ``iters·m`` scans.
+
+A step that imputes nothing (the attribute has no missing value, or its
+training set is empty so ``fit`` returns no model) rewrites nothing, scans
+no ``ΔC'`` and leaves Low's ``C`` as it was. Counts are fixed at prepare
+time (masks never change), so that check issues no Spark job.
 
 With a ``FactorizedPlan`` (Section 6.3, Figure 6) the input is the fact
 table of a normalized schema with missing values in fact columns only.
-Cofactors come from the plan's folds, which push the ring SUM past the
-joins, so the wide join is never materialized; only the rows being imputed
-are enriched with dimension attributes, via broadcast joins.
+Cofactors come from the plan's folds, one per predicate, which push the
+ring SUM past the joins, so the wide join is never materialized; only the
+rows being imputed are enriched with dimension attributes, via broadcast
+joins.
 """
 from __future__ import annotations
 
-from functools import reduce
-
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.ring import cofactor_ring
@@ -38,7 +51,7 @@ from repro.ring.factorized import FactorizedPlan
 from repro.ring.schema import AttrSchema
 from repro.ring.triple import Triple
 from .baseline import MiceResult
-from .partition import partition
+from .partition import n_missing, partition
 from .prep import mask_col, prepare
 from .step import apply_imputation, attr_seed, fit
 from .timing import TimingLog
@@ -70,57 +83,51 @@ def algorithm2(
         prep = prepare(df, schema, incomplete, plan=plan)
     with timing.time("preprocess.partition"):
         parts = partition(prep, mode=mode)
+    m = len(incomplete)
+    nmiss = n_missing(incomplete)
 
-    def cofactor_of(pieces: list[tuple[str, DataFrame]]) -> Triple:
-        """Cofactor of the union of the non-empty ``(count name, frame)``s."""
-        dfs = [d for name, d in pieces if parts.count_of(name) != 0]
-        if not dfs:
-            return Triple.zero(schema)
-        union = reduce(DataFrame.unionByName, dfs)
-        return plan.cofactor(union) if plan else cofactor_ring(union, schema)
-
-    def scan(attr: str) -> Triple:
-        # rows with `attr` missing (low) or observed (high), Alg. 2 l. 5/9
+    def step_rows(attr: str) -> Column:
+        # rows taken out of C (low: `attr` missing, not in `none`, Alg. 2
+        # l. 5) or added to C_complete (high: `attr` observed, not complete)
         mask = F.col(mask_col(attr))
-        overflow = parts.overflow.filter(mask if low else ~mask)
-        return cofactor_of([(attr, parts.single[attr]), ("overflow", overflow)])
+        return mask & (nmiss < m) if low else ~mask & (nmiss > 0)
 
+    def scan(frame: DataFrame, preds: list[Column]) -> list[Triple]:
+        """Cofactor of each predicate's rows of ``frame``, in one pass."""
+        if plan:
+            return [plan.cofactor(frame.filter(p)) for p in preds]
+        return cofactor_ring(frame, schema, where=preds)
+
+    steps = [(it, ai, attr) for it in range(iters)
+             for ai, attr in enumerate(incomplete)]
     with timing.time(pre_phase):
         # low: C over everything that can appear in a training set (Alg. 2
-        # line 2); high: the complete part every training set shares
-        shared = [("overflow", parts.overflow),
-                  *[(a, parts.single[a]) for a in incomplete]] if low else []
-        c = cofactor_of([("complete", parts.complete), *shared])
-
-    for it in range(iters):
-        for ai, attr in enumerate(incomplete):
-            with timing.time(scan_phase):
-                delta = scan(attr)
-            c_train = (c - delta).prune(tol=0.0) if low else c + delta
-            with timing.time("iter.train"):
-                model = fit(c_train, attr, prep, l2=l2)
-            if model is None:
-                continue
-            s = attr_seed(seed, it, ai)
+        # line 2); high: the complete part every training set shares. Both
+        # fused with the first step's scan.
+        c, delta = scan(parts.union_all(),
+                        [nmiss < m if low else nmiss == 0, step_rows(incomplete[0])])
+    for k, (it, ai, attr) in enumerate(steps):
+        c_train = (c - delta).prune(tol=0.0) if low else c + delta
+        with timing.time("iter.train"):
+            model = fit(c_train, attr, prep, l2=l2)
+        updated = model is not None and parts.count_of(mask_col(attr)) != 0
+        if updated:
             with timing.time("iter.update"):
-                # single[b] holds rows with `attr` missing iff b == attr (low)
-                # or b != attr (high); overflow and `none` are touched only
-                # on masked rows
-                for j, b in enumerate(incomplete):
-                    if (b == attr) == low and parts.count_of(b) != 0:
-                        parts.single[b] = apply_imputation(
-                            parts.single[b], model, attr, prep,
-                            s if b == attr else s + 3 + j, noise, enrich,
-                        )
-                for name, extra in (("overflow", 1), ("none", 2)):
-                    if parts.count_of(name) != 0:
-                        setattr(parts, name, apply_imputation(
-                            getattr(parts, name), model, attr, prep, s + extra,
-                            noise, enrich,
-                        ))
-            if low:
-                with timing.time(scan_phase):
-                    c = c_train + scan(attr)
+                parts.missing = apply_imputation(
+                    parts.missing, model, attr, prep, attr_seed(seed, it, ai),
+                    noise, enrich,
+                )
+        if k + 1 == len(steps):
+            break  # the last ΔC′ would restore a C that is never read
+        with timing.time(scan_phase):
+            # low: ΔC′(attr) over the freshly imputed rows, fused with the
+            # next step's ΔC (no ΔC′ when nothing was imputed: C stands as
+            # it was); high: the next step's observed rows
+            nxt = step_rows(steps[k + 1][2])
+            *fresh, delta = scan(parts.missing,
+                                 [step_rows(attr), nxt] if low and updated else [nxt])
+        if fresh:
+            c = c_train + fresh[0]
 
     return MiceResult(df=parts.union_all(), timing=timing, prep=prep)
 

@@ -1,10 +1,22 @@
 """Missing/observed-count partitioning (Section 4, "Shared Computation with
 Data Partitioning").
 
+The prepared dataset is held as two frames:
+
+* ``complete`` — records with no missing values; never rewritten,
+* ``missing``  — every other record, a narrow ``filter`` of ``prep.df``
+  that keeps each row's Spark partition and its order within it. It is
+  never repartitioned or coalesced, so a ``rand`` stream inside an update's
+  ``CASE WHEN`` draws the same value for a cell as it does over the whole
+  of ``prep.df`` (Algorithm 1's update).
+
+The paper's remaining partitions are predicates over ``missing`` (``pred``)
+and filtered views of it (``single``, ``overflow``, ``none``). Algorithm 2
+builds its own per-step predicates and reads none of these views, so
+``mode`` does not change the two frames, only which views they are.
 ``mode="low"`` partitions by the number of *missing* incomplete attributes
 per record (fast access to the small missing part, used by Algorithm 2):
 
-* ``complete``  — records with no missing values,
 * ``single[a]`` — records whose only missing attribute is ``a``
   (the per-attribute subpartitions of the paper's third partition),
 * ``overflow``  — records with ≥2 missing values (but not all),
@@ -21,63 +33,84 @@ incomplete attributes (fast access to the small observed part):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame, Observation
 from pyspark.sql import functions as F
 
 from .prep import Prepared, mask_col
 
 
+def n_missing(incomplete: list[str]) -> Column:
+    """Number of masked incomplete attributes of a row."""
+    return sum(F.col(mask_col(a)).cast("int") for a in incomplete)
+
+
 @dataclass
 class Partitions:
     mode: str
+    incomplete: list[str]
     complete: DataFrame
-    single: dict[str, DataFrame]
-    overflow: DataFrame
-    none: DataFrame
-    #: row counts per partition ("complete"/"overflow"/"none"/attr names).
-    #: Masks are fixed at prepare time, so membership — and these counts —
-    #: never change across iterations; empty partitions can be skipped
-    #: without issuing Spark jobs.
+    missing: DataFrame
+    #: row counts of ``complete``, ``missing`` and each attribute's masked
+    #: rows (keyed ``mask_col(a)``). Masks are fixed at prepare time, so these
+    #: never change across iterations; an attribute with no masked row needs
+    #: no update, and knowing that issues no job.
     counts: dict[str, int] = None
 
     def count_of(self, name: str) -> int:
         return self.counts[name] if self.counts is not None else -1
 
+    def pred(self, name: str) -> Column:
+        """Membership of ``"overflow"``, ``"none"`` or ``single[name]``, as a
+        predicate over ``missing``."""
+        m = len(self.incomplete)
+        nmiss = n_missing(self.incomplete)
+        if name == "none":
+            return nmiss == m
+        cnt = nmiss if self.mode == "low" else F.lit(m) - nmiss
+        if name == "overflow":
+            return (cnt >= 2) & (cnt < m) if m > 1 else F.lit(False)
+        flag = F.col(mask_col(name))
+        # (m > 1) keeps single disjoint from complete/none when m == 1
+        return (cnt == 1) & F.lit(m > 1) & (flag if self.mode == "low" else ~flag)
+
+    @property
+    def single(self) -> dict[str, DataFrame]:
+        return {a: self.missing.filter(self.pred(a)) for a in self.incomplete}
+
+    @property
+    def overflow(self) -> DataFrame:
+        return self.missing.filter(self.pred("overflow"))
+
+    @property
+    def none(self) -> DataFrame:
+        return self.missing.filter(self.pred("none"))
+
     def union_all(self) -> DataFrame:
-        dfs = [self.complete, *self.single.values(), self.overflow, self.none]
-        return reduce(DataFrame.unionByName, dfs)
+        return self.complete.unionByName(self.missing)
 
 
 def partition(prep: Prepared, mode: str, checkpoint: bool = True) -> Partitions:
-    """Split the prepared dataset into the four partitions for ``mode``."""
+    """Split the prepared dataset into ``complete`` and ``missing``.
+
+    With ``checkpoint``, both frames are materialized, and the row counts
+    the loop reads (``counts``) are observed while they are
+    (``DataFrame.observe``): two Spark jobs.
+    """
     if mode not in ("low", "high"):
         raise ValueError(f"mode must be 'low' or 'high': {mode}")
     inc = prep.incomplete
-    m = len(inc)
-    miss_cnt = reduce(
-        lambda a, b: a + b, [F.col(mask_col(a)).cast("int") for a in inc]
-    )
-    df = prep.df.withColumn("__nmiss", miss_cnt)
-    cnt = F.col("__nmiss") if mode == "low" else (F.lit(m) - F.col("__nmiss"))
-
-    def fin(d: DataFrame) -> DataFrame:
-        d = d.drop("__nmiss")
-        return d.localCheckpoint(eager=True) if checkpoint else d
-
-    complete = fin(df.filter(F.col("__nmiss") == 0))
-    none = fin(df.filter(F.col("__nmiss") == m))
-    single: dict[str, DataFrame] = {}
-    for a in inc:
-        flag = F.col(mask_col(a)) if mode == "low" else ~F.col(mask_col(a))
-        # (cnt < m) keeps single disjoint from complete/none when m == 1
-        single[a] = fin(df.filter((cnt == 1) & (F.lit(m) > 1) & flag))
-    overflow = fin(df.filter((cnt >= 2) & (cnt < m) if m > 1 else F.lit(False)))
-    counts = None
-    if checkpoint:  # cheap on materialized partitions
-        counts = {"complete": complete.count(), "overflow": overflow.count(),
-                  "none": none.count()}
-        counts.update({a: d.count() for a, d in single.items()})
-    return Partitions(mode=mode, complete=complete, single=single,
-                      overflow=overflow, none=none, counts=counts)
+    nmiss = n_missing(inc)
+    parts = Partitions(mode=mode, incomplete=list(inc),
+                       complete=prep.df.filter(nmiss == 0),
+                       missing=prep.df.filter(nmiss > 0))
+    if checkpoint:
+        extra = {"complete": [], "missing": [F.sum(F.col(mask_col(a)).cast("long"))
+                                             .alias(mask_col(a)) for a in inc]}
+        parts.counts = {}
+        for name, aggs in extra.items():
+            obs = Observation()
+            frame = getattr(parts, name).observe(obs, F.count(F.lit(1)).alias(name), *aggs)
+            setattr(parts, name, frame.localCheckpoint(eager=True))
+            parts.counts.update({n: int(v or 0) for n, v in obs.get.items()})
+    return parts

@@ -12,7 +12,8 @@ comparison:
 * ``cofactor_ring`` — the paper's ``SUM_TRIPLE``: a single pass that lifts
   whole Arrow batches to partial ``Triple`` values (``mapInPandas``) and
   merges them with ring addition. One Spark job, one scan, no one-hot, and
-  at most one Python task per core.
+  at most one Python task per core; ``where=`` returns the triples of
+  several row subsets from that same job.
 
 Both return the same ``Triple`` (tests assert bitwise-close equality and
 check individual aggregates against the DuckDB oracle).
@@ -23,7 +24,7 @@ import pickle
 from typing import Iterator
 
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from .schema import AttrSchema
@@ -31,7 +32,8 @@ from .triple import Rel, Triple, lift_block, triple_sum, _py
 
 
 def cofactor_ring(df: DataFrame, schema: AttrSchema,
-                  attrs: list[str] | None = None) -> Triple:
+                  attrs: list[str] | None = None, *,
+                  where: list[Column] | None = None) -> Triple | list[Triple]:
     """Compute the cofactor Triple in one distributed pass.
 
     Each task folds its Arrow batches through the bulk lift ``λ`` and emits a
@@ -39,22 +41,38 @@ def cofactor_ring(df: DataFrame, schema: AttrSchema,
     ``+`` (the UDAF merge step). ``attrs`` restricts to a subset of the
     global schema (factorized evaluation lifts per-table subsets).
 
+    ``where`` takes boolean Columns (a null counts as false) and returns one
+    Triple per predicate, the cofactor of the rows it selects, all from the
+    same single job: the predicates are projected as flag columns, and each
+    task lifts every batch once per flag into that flag's accumulator.
+
     The input is coalesced to ``defaultParallelism`` partitions first: each
     Python task costs tens of milliseconds to start and feed, against a few
     milliseconds of lifting per 10k rows, so the scan runs one task per core
     rather than one per input partition (a no-op for narrower inputs).
     """
     names = list(attrs) if attrs is not None else list(schema.names)
+    dp = df.sparkSession.sparkContext.defaultParallelism
+    preds = where if where is not None else [None]
+    # a None flag lifts the whole batch (the call without ``where``); the
+    # closure holds flag names only, as Columns do not pickle
+    flags = [None if p is None else f"__where_{k}" for k, p in enumerate(preds)]
 
     def partials(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        acc = Triple.zero(schema)
+        accs = [Triple.zero(schema) for _ in flags]
         for b in batches:
-            acc = acc + lift_block(b, schema, names)
-        yield pd.DataFrame({"t": [pickle.dumps(acc)]})
+            for k, flag in enumerate(flags):
+                sel = b if flag is None else b[b[flag]]
+                accs[k] = accs[k] + lift_block(sel, schema, names)
+        yield pd.DataFrame({"t": [pickle.dumps(accs)]})
 
-    dp = df.sparkSession.sparkContext.defaultParallelism
-    rows = df.select(*names).coalesce(dp).mapInPandas(partials, "t binary").collect()
-    return triple_sum((pickle.loads(r.t) for r in rows), schema)
+    proj = df.select(*names, *[F.coalesce(p, F.lit(False)).alias(f)
+                               for p, f in zip(preds, flags) if f is not None])
+    rows = proj.coalesce(dp).mapInPandas(partials, "t binary").collect()
+    per_task = [pickle.loads(r.t) for r in rows]
+    out = [triple_sum((accs[k] for accs in per_task), schema)
+           for k in range(len(flags))]
+    return out if where is not None else out[0]
 
 
 def cofactor_sql(df: DataFrame, schema: AttrSchema,

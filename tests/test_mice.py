@@ -2,7 +2,8 @@
 
 The central correctness claims:
 * all three variants are functionally equivalent (identical imputations with
-  noise disabled — C − ΔC is exact ring arithmetic);
+  noise disabled — C − ΔC is exact ring arithmetic — and, with noise on,
+  the same noise drawn for each cell);
 * MICE imputations beat initial mean/mode imputation against ground truth;
 * the shared-computation invariant C − ΔC == cofactor(observed) holds on the
   partitioned data mid-run.
@@ -215,3 +216,107 @@ class TestMisc:
         rmse = np.sqrt(((out["airtime"].to_numpy()[miss] - truth) ** 2).mean())
         mean_rmse = np.sqrt(((pdf["airtime"].mean() - truth) ** 2).mean())
         assert rmse < mean_rmse
+
+
+THREE = ["airtime", "arr_delay", "diverted"]
+
+
+@pytest.fixture(scope="module")
+def three(spark, data):
+    """20 % MCAR on two continuous columns and ``diverted``, in 3 partitions."""
+    pdf, _ = inject_missing(data["truth"], THREE, 0.2, "MCAR", seed=2)
+    return spark.createDataFrame(pdf).repartition(3).localCheckpoint(eager=True)
+
+
+class TestNoiseEquivalence:
+    def test_variants_match_baseline_with_noise(self, three, data):
+        """Every variant updates each masked cell with the same seed and the
+        same per-partition ``rand`` stream, so noise is identical too."""
+        ds = data["ds"]
+        out = {
+            v: collect_sorted(run_mice(three, ds.schema, THREE, variant=v,
+                                       iters=2, noise=True, seed=7))
+            for v in ("baseline", "low", "high")
+        }
+        base = out["baseline"]
+        for v in ("low", "high"):
+            assert out[v]["__rid"].equals(base["__rid"])
+            for a in ("airtime", "arr_delay"):
+                np.testing.assert_allclose(
+                    out[v][a].to_numpy(), base[a].to_numpy(), rtol=1e-6,
+                    err_msg=f"{v} diverges from baseline on {a}",
+                )
+            assert (out[v]["diverted"] == base["diverted"]).all(), v
+
+
+class TestEmptyTrainingSet:
+    @pytest.mark.parametrize("variant", ["low", "high"])
+    def test_no_model_leaves_cofactor_unchanged(self, monkeypatch, three, data,
+                                                variant):
+        """A step without a model (``fit`` returns None on an empty training
+        set) imputes nothing, so the running cofactor must stay exactly as it
+        was: each later attribute's training triple in iteration 2 is
+        bit-identical to its iteration-1 triple (the first attribute's
+        iteration-1 rows come from the first, wider scan, so their sum order
+        differs), and the output is the initial imputation."""
+        import repro.mice.baseline as base_mod
+        import repro.mice.low as low_mod
+
+        seen = []
+
+        def no_model(triple, attr, prep, **kwargs):
+            seen.append((attr, triple))
+            return None
+
+        monkeypatch.setattr(low_mod, "fit", no_model)
+        monkeypatch.setattr(base_mod, "fit", lambda *a, **k: None)
+        ds = data["ds"]
+        out = collect_sorted(run_mice(three, ds.schema, THREE, variant=variant,
+                                      iters=2, noise=True, seed=7))
+        assert [a for a, _ in seen] == THREE * 2
+        for (a, t0), (_, t1) in zip(seen[1:len(THREE)], seen[len(THREE) + 1:]):
+            assert (t1.n, t1.s, t1.q) == (t0.n, t0.s, t0.q), a
+        base = collect_sorted(run_mice(three, ds.schema, THREE,
+                                       variant="baseline", iters=2, seed=7))
+        assert out.equals(base)
+
+
+class TestActionsPerRound:
+    @pytest.mark.parametrize("variant", ["low", "high"])
+    def test_one_scan_and_at_most_one_update_per_step(self, monkeypatch, three,
+                                                      data, variant):
+        import repro.mice.low as low_mod
+
+        calls = {"scan": 0, "update": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(low_mod, "cofactor_ring",
+                            counted("scan", low_mod.cofactor_ring))
+        monkeypatch.setattr(low_mod, "apply_imputation",
+                            counted("update", low_mod.apply_imputation))
+        run_mice(three, data["ds"].schema, THREE, variant=variant, iters=2,
+                 noise=True, seed=3)
+        steps = 2 * len(THREE)
+        assert calls["scan"] == steps
+        assert 0 < calls["update"] <= steps
+
+    @pytest.mark.parametrize("mode", ["low", "high"])
+    def test_partition_jobs(self, spark, three, data, mode):
+        from repro.mice import partition, prepare
+
+        prep = prepare(three, data["ds"].schema, THREE)
+        sc = spark.sparkContext
+        group = f"test-partition-{mode}"
+        sc.setJobGroup(group, "partition")
+        try:
+            parts = partition(prep, mode=mode)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        assert 0 < len(sc.statusTracker().getJobIdsForGroup(group)) <= 3
+        assert parts.count_of("complete") + parts.count_of("missing") == three.count()

@@ -9,6 +9,7 @@ import pytest
 
 from repro.oracle import assert_equivalent
 from repro.ring import AttrSchema, cofactor_ring, cofactor_sql, lift_block
+from repro.ring.triple import Triple
 from repro import synth_data
 
 SF = 0.002
@@ -150,6 +151,79 @@ class TestSubsetsAndPartitions:
         delta = cofactor_ring(part, LI_SCHEMA)
         direct = cofactor_ring(rest, LI_SCHEMA)
         assert (ring_triple - delta).allclose(direct, rtol=1e-7, atol=1e-3)
+
+
+class TestWhere:
+    """``cofactor_ring(where=)``: one triple per predicate from one job."""
+
+    @pytest.fixture(scope="class")
+    def preds(self):
+        from pyspark.sql import functions as F
+
+        return [F.col("l_quantity") <= 30, F.col("l_returnflag") != "N",
+                F.col("l_quantity") < 0]
+
+    @pytest.fixture(scope="class")
+    def fused(self, spark, li, preds):
+        sc = spark.sparkContext
+        sc.setJobGroup("test-where", "cofactor_ring with where=")
+        try:
+            out = cofactor_ring(li, LI_SCHEMA, where=preds)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        return out
+
+    def test_matches_filtered_scans(self, li, preds, fused):
+        assert len(fused) == len(preds)
+        for p, t in zip(preds[:2], fused):
+            assert t.allclose(cofactor_ring(li.filter(p), LI_SCHEMA),
+                              rtol=1e-9, atol=1e-5)
+
+    def test_all_false_is_zero(self, fused):
+        assert fused[2] == Triple.zero(LI_SCHEMA)
+
+    def test_matches_duckdb(self, li, fused):
+        import duckdb
+
+        pdf = li.toPandas()
+        n, s, q = duckdb.sql(
+            "SELECT COUNT(*), SUM(l_tax), SUM(l_quantity*l_extendedprice) "
+            "FROM pdf WHERE l_returnflag <> 'N'"
+        ).fetchone()
+        t = fused[1]
+        assert t.n == n
+        assert np.isclose(t.sum_of("l_tax"), s, rtol=1e-9)
+        assert np.isclose(t.q_of("l_quantity", "l_extendedprice"), q, rtol=1e-9)
+        rows = duckdb.sql(
+            "SELECT l_linestatus, COUNT(*) FROM pdf WHERE l_quantity <= 30 "
+            "GROUP BY 1"
+        ).fetchall()
+        assert fused[0].sum_of("l_linestatus") == {k: float(c) for k, c in rows}
+
+    def test_one_job(self, spark, fused):
+        sc = spark.sparkContext
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        assert len(sc.statusTracker().getJobIdsForGroup("test-where")) == 1
+
+    def test_without_where_unchanged(self, spark, li, ring_triple):
+        """Without ``where``, the triple is bit-identical to the single-triple
+        pass as it was before ``where`` existed (frozen here)."""
+        import pickle
+
+        from repro.ring.triple import triple_sum
+
+        def partials(batches):
+            acc = Triple.zero(LI_SCHEMA)
+            for b in batches:
+                acc = acc + lift_block(b, LI_SCHEMA, LI_SCHEMA.names)
+            yield pd.DataFrame({"t": [pickle.dumps(acc)]})
+
+        dp = spark.sparkContext.defaultParallelism
+        rows = (li.select(*LI_SCHEMA.names).coalesce(dp)
+                .mapInPandas(partials, "t binary").collect())
+        want = triple_sum((pickle.loads(r.t) for r in rows), LI_SCHEMA)
+        assert isinstance(ring_triple, Triple)
+        assert (ring_triple.n, ring_triple.s, ring_triple.q) == (want.n, want.s, want.q)
 
 
 class TestContOnly:
