@@ -36,12 +36,14 @@ time (masks never change), so that check issues no Spark job.
 
 With a ``FactorizedPlan`` (Section 6.3, Figure 6) the input is the fact
 table of a normalized schema with missing values in fact columns only.
-Cofactors come from the plan's folds, one per predicate, which push the
-ring SUM past the joins, so the wide join is never materialized; only the
-rows being imputed are enriched with dimension attributes, via broadcast
-joins.
+Cofactors come from the plan's fold, which pushes the ring SUM past the
+joins, so the wide join is never materialized, and which returns one triple
+per predicate from one job, as ``cofactor_ring`` does; only the rows being
+imputed are enriched with dimension attributes, via broadcast joins.
 """
 from __future__ import annotations
+
+from functools import partial
 
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
@@ -49,7 +51,6 @@ from pyspark.sql import functions as F
 from repro.ring import cofactor_ring
 from repro.ring.factorized import FactorizedPlan
 from repro.ring.schema import AttrSchema
-from repro.ring.triple import Triple
 from .baseline import MiceResult
 from .partition import n_missing, partition
 from .prep import mask_col, prepare
@@ -92,11 +93,9 @@ def algorithm2(
         mask = F.col(mask_col(attr))
         return mask & (nmiss < m) if low else ~mask & (nmiss > 0)
 
-    def scan(frame: DataFrame, preds: list[Column]) -> list[Triple]:
-        """Cofactor of each predicate's rows of ``frame``, in one pass."""
-        if plan:
-            return [plan.cofactor(frame.filter(p)) for p in preds]
-        return cofactor_ring(frame, schema, where=preds)
+    # scan(frame, where=preds): the cofactor of each predicate's rows of
+    # frame, in one pass
+    scan = plan.cofactor if plan else partial(cofactor_ring, schema=schema)
 
     steps = [(it, ai, attr) for it in range(iters)
              for ai, attr in enumerate(incomplete)]
@@ -104,8 +103,8 @@ def algorithm2(
         # low: C over everything that can appear in a training set (Alg. 2
         # line 2); high: the complete part every training set shares. Both
         # fused with the first step's scan.
-        c, delta = scan(parts.union_all(),
-                        [nmiss < m if low else nmiss == 0, step_rows(incomplete[0])])
+        c, delta = scan(parts.union_all(), where=[
+            nmiss < m if low else nmiss == 0, step_rows(incomplete[0])])
     for k, (it, ai, attr) in enumerate(steps):
         c_train = (c - delta).prune(tol=0.0) if low else c + delta
         with timing.time("iter.train"):
@@ -124,8 +123,8 @@ def algorithm2(
             # next step's ΔC (no ΔC′ when nothing was imputed: C stands as
             # it was); high: the next step's observed rows
             nxt = step_rows(steps[k + 1][2])
-            *fresh, delta = scan(parts.missing,
-                                 [step_rows(attr), nxt] if low and updated else [nxt])
+            *fresh, delta = scan(parts.missing, where=[step_rows(attr), nxt]
+                                 if low and updated else [nxt])
         if fresh:
             c = c_train + fresh[0]
 

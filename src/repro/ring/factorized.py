@@ -9,40 +9,52 @@ are combined with ring multiplication — the join result is never
 materialized. For snowflake schemas the combination proceeds bottom-up along
 the join tree, marginalizing (summing out) each join key once it is no
 longer needed, so wide attribute interactions are computed once per distinct
-key instead of once per joined row.
+key instead of once per joined row (the aggregate pushdown of F-IVM and
+LMFAO).
 
-Building blocks:
+Keyed triples are held as dense moment matrices over the plan's pinned
+one-hot domain: for the rows of key ``k``, ``M[k] = Σ x xᵀ`` where ``x`` is a
+row's design vector (bias 1 at index 0, continuous values, one indicator per
+category), so ``M[k]`` is the ``Triple.to_dense`` of that key's triple and
+the ring product of two such matrices over disjoint attributes is the block
+formula of ``_ring_mul``.
 
-* ``lift_dim``       — driver-side keyed triples of a small dimension table.
-* ``fact_fold``      — one fold step over the (large) fact: per Arrow batch,
-  bulk-lift all out-key groups at once (``lift_grouped``), multiply by the
-  broadcast dimension triples, and emit partial triples per key (ring-added
-  downstream).
-* ``keyed_fold``     — same fold over an already-keyed triple DataFrame.
-* ``final_fold``     — collect a small keyed triple DataFrame and finish on
-  the driver.
-* ``FactorizedPlan`` — a dataset's fold over its join tree plus the
-  ``enrich`` join that MICE uses to predict over normalized data.
+``join_tree_cofactor`` builds a plan's ``cofactor(fact, where=None)``: one
+``mapInPandas`` job over the fact (``scan_partials``), in which each task, per
+Arrow batch,
+
+1. builds its rows' design matrix and gathers the unique-key leaf dimensions
+   (``gather``) into the rows, dropping rows without a match;
+2. sums per-key moments ``[K, p, p]`` by the join keys the folds still need;
+3. folds them up the tree: per level, a batched ring product with the
+   dimension's moments at each key (keys without a match are dropped), then
+   a segment sum to the keys the remaining levels need;
+
+and emits one ``p × p`` matrix. The driver adds the tasks' matrices and
+turns the sum back into the sparse ``Triple`` with ``Triple.from_dense``.
 """
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
+import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame
 
 from .schema import AttrSchema
-from .triple import Triple, lift_grouped
+from .spark_agg import scan_partials
+from .triple import DenseCofactor, Triple, dense_columns
 
 
 @dataclass
 class FactorizedPlan:
     """Dataset-specific factorized evaluation plan.
 
-    ``cofactor(fact_df)`` computes the cofactor Triple of ``fact_df ⋈ dims``
-    without materializing the join; ``enrich(fact_df)`` joins dimension
+    ``cofactor(fact_df, where=None)`` computes the cofactor Triple of
+    ``fact_df ⋈ dims`` without materializing the join, or with ``where`` one
+    Triple per predicate over the fact rows, from one Spark job (as
+    ``cofactor_ring(where=)``); ``enrich(fact_df)`` joins dimension
     attributes onto the given (small) fact subset for prediction.
     ``categories`` pins the domain of every categorical attribute. The
     attribute schema is not part of the plan: callers pass the same schema
@@ -50,157 +62,179 @@ class FactorizedPlan:
     """
 
     fact_attrs: list[str]
-    cofactor: Callable[[DataFrame], Triple]
+    cofactor: Callable[..., Triple | list[Triple]]
     enrich: Callable[[DataFrame], DataFrame]
     categories: dict[str, list]
 
 
-def lift_dim(pdf: pd.DataFrame, schema: AttrSchema, attrs: Sequence[str],
-             key_cols: Sequence[str]) -> dict:
-    """Keyed partial triples of a dimension table (driver-side).
+@dataclass(eq=False)
+class Dim:
+    """A dimension table joined on ``key`` (unique per row) that contributes
+    the attributes ``attrs`` to the cofactor."""
 
-    Dimension keys are assumed unique per row group (grouped otherwise).
-    Keys are scalars for a single key column, tuples for compound keys.
+    table: pd.DataFrame
+    key: list[str]
+    attrs: list[str]
+
+
+def _design(pdf: pd.DataFrame, schema: AttrSchema, categories: dict[str, list],
+            attrs: Sequence[str]) -> np.ndarray:
+    """Rows' design matrix over ``attrs``: the bias, then each attribute in
+    schema order (categoricals one indicator per pinned category), so its
+    columns are ``dense_columns(schema, categories, attrs)``. Fails on a NaN
+    and on a category outside ``categories``."""
+    cols = [np.ones(len(pdf))]
+    for a in sorted(attrs, key=schema.index):
+        v = pdf[a]
+        if v.isna().any():
+            raise ValueError(f"NaN in lifted column {a!r} — impute first")
+        if not schema.is_cat(a):
+            cols.append(v.to_numpy(dtype=np.float64))
+            continue
+        codes = pd.Index(categories[a]).get_indexer(v)
+        if (codes < 0).any():
+            bad = list(dict.fromkeys(v[codes < 0].tolist()))[:5]
+            raise ValueError(f"{a!r} holds values outside the plan's categories: {bad}")
+        cols.append(np.eye(len(categories[a]))[codes].T)
+    return np.vstack(cols).T
+
+
+def _key_index(cols: list[np.ndarray]) -> pd.Index:
+    """Index over key tuples (a flat one for a single key column)."""
+    return pd.Index(cols[0]) if len(cols) == 1 else pd.MultiIndex.from_arrays(cols)
+
+
+def _groups(keys: dict[str, np.ndarray], cols: list[str],
+            n: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Group id ``0..k-1`` of each of ``n`` rows by the key columns ``cols``,
+    and the distinct keys (one group when ``cols`` is empty)."""
+    code = np.zeros(n, dtype=np.int64)
+    for c in cols:  # mixed-radix code over the per-column codes
+        f, u = pd.factorize(keys[c])
+        code = code * len(u) + f
+    _, first, gid = np.unique(code, return_index=True, return_inverse=True)
+    return gid, {c: keys[c][first] for c in cols}
+
+
+def _segments(gid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row order that sorts ``gid``, and where each group starts in it."""
+    order = np.argsort(gid, kind="stable")
+    g = gid[order]
+    return order, np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+
+
+def _segment_sum(a: np.ndarray, gid: np.ndarray) -> np.ndarray:
+    """Sum the rows of ``a`` per group id; row ``g`` of the result is group
+    ``g`` (every id ``0..k-1`` occurs)."""
+    order, starts = _segments(gid)
+    return np.add.reduceat(a[order], starts, axis=0)
+
+
+def _moments(x: np.ndarray, gid: np.ndarray) -> np.ndarray:
+    """Per-group ``Σ x xᵀ`` as ``[k, p, p]``, one column of products at a
+    time so no ``[n, p, p]`` array is built."""
+    order, starts = _segments(gid)
+    xs = x[order]
+    return np.stack([np.add.reduceat(xs * xs[:, j, None], starts, axis=0)
+                     for j in range(x.shape[1])], axis=1)
+
+
+def _ring_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched ring product of dense moments over disjoint attributes.
+
+    ``a`` is ``[K, 1+α, 1+α]`` and ``b`` is ``[K, 1+β, 1+β]``, each with the
+    bias at index 0; the result is ``[K, 1+α+β, 1+α+β]`` with columns
+    ``[bias, α, β]``, by the block formula ``A·B = [[a₀₀b₀₀, b₀₀A₀ₐ,
+    a₀₀B₀ᵦ], [·, b₀₀Aₐₐ, Aₐ₀B₀ᵦ], [·, ·, a₀₀Bᵦᵦ]]``: the Triple product
+    ``(NaNb, Nb·sa + Na·sb, Nb·Qa + Na·Qb + sa sbᵀ + sb saᵀ)``.
     """
-    return lift_grouped(pdf, schema, attrs, list(key_cols))
+    k, pa, pb = a.shape[0], a.shape[1], b.shape[1]
+    na, nb = a[:, 0, 0, None], b[:, 0, 0, None, None]
+    out = np.empty((k, pa + pb - 1, pa + pb - 1))
+    out[:, :pa, :pa] = nb * a
+    out[:, :pa, pa:] = a[:, :, 0, None] * b[:, None, 0, 1:]
+    out[:, pa:, :pa] = out[:, :pa, pa:].transpose(0, 2, 1)
+    out[:, pa:, pa:] = na[:, :, None] * b[:, 1:, 1:]
+    return out
 
 
-def _out_schema_ddl(df: DataFrame, out_keys: Sequence[str]) -> str:
-    by_name = {f.name: f.dataType.simpleString() for f in df.schema.fields}
-    parts = [f"{k} {by_name[k]}" for k in out_keys]
-    parts.append("t binary")
-    return ", ".join(parts)
+def join_tree_cofactor(schema: AttrSchema, categories: dict[str, list],
+                       fact_attrs: Sequence[str], gather: Sequence[Dim] = (),
+                       fold: Sequence[Dim] = ()) -> Callable[..., Triple | list[Triple]]:
+    """``cofactor(fact, where=None)`` of ``fact ⋈ gather ⋈ fold``.
 
-
-def fact_fold(df: DataFrame, schema: AttrSchema, attrs: Sequence[str],
-              inner_keys: Sequence[str], inner_dim: dict | None,
-              out_keys: Sequence[str],
-              inner_frame: tuple[pd.DataFrame, Sequence[str]] | None = None,
-              cluster: bool = True) -> DataFrame:
-    """One factorized fold over the fact table.
-
-    Returns a DataFrame ``(out_keys..., t binary)`` of *partial* triples:
-    the ring-sum, over the rows of one Arrow batch sharing an out-key, of
-    ``lift(rows with inner_key=k) * dim[k]``. A key may appear once per
-    batch — downstream folds (``keyed_fold``/``final_fold``) ring-add the
-    partials, which is sound because multiplication distributes over ``+``.
-    Running as ``mapInPandas`` + the vectorized ``lift_grouped`` kernel
-    amortizes Python overhead across all groups in a batch (thousands of
-    tiny ``applyInPandas`` groups would dominate the runtime otherwise).
-
-    Rows whose inner key is absent from the dimension are dropped
-    (inner-join semantics). With ``inner_dim=None`` groups are simply
-    bulk-lifted. ``inner_frame=(dim_pdf, dim_attrs)`` selects the fastest
-    leaf path for dimensions with *unique keys*: each per-key dim triple has
-    N = 1, so ``Σ_k lift(rows_k) * dim_k == lift(rows ⋈ dim)`` exactly and
-    the batch is hash-merged with the broadcast dimension block before one
-    grouped bulk lift. Tests assert all paths produce identical triples.
+    ``gather`` dimensions are joined into the fact rows (the leaves of the
+    join tree); ``fold`` dimensions are then folded in, in order, as the
+    levels of the tree: before level ``i`` the moments are keyed by the
+    join keys of levels ``i`` and up, so each key column is summed out once
+    the level that joins on it is done. Every attribute belongs to one
+    table, and every dimension's key is unique; both are checked here.
     """
-    spark = SparkSession.getActiveSession()
-    attrs = list(attrs)
-    inner_keys = list(inner_keys)
-    out_keys = list(out_keys)
+    owner: dict[str, str] = {}
+    for name, attrs in [("fact", fact_attrs)] + [
+            (f"dimension on {d.key}", d.attrs) for d in (*gather, *fold)]:
+        for a in attrs:
+            if a in owner:
+                raise ValueError(f"attribute {a!r} on both sides of a product: "
+                                 f"{owner[a]} and {name}")
+            owner[a] = name
+    for d in (*gather, *fold):
+        if d.table.duplicated(d.key).any():
+            raise ValueError(f"dimension key {d.key} is not unique")
 
-    if inner_frame is not None:
-        dim_pdf, dim_attrs = inner_frame
-        keep = list(dict.fromkeys(inner_keys + list(dim_attrs)))
-        bc = spark.sparkContext.broadcast(dim_pdf[keep])
-        lift_attrs = attrs + [a for a in dim_attrs if a not in attrs]
+    def prepared(d: Dim):
+        index = _key_index([d.table[c].to_numpy() for c in d.key])
+        return d.key, index, _design(d.table, schema, categories, d.attrs)
 
-        def batch_partials(pdf: pd.DataFrame) -> dict:
-            merged = pdf.merge(bc.value, on=inner_keys, how="inner")
-            return lift_grouped(merged, schema, lift_attrs, out_keys)
+    gathers = [prepared(d) for d in gather]
+    levels = [prepared(d) for d in fold]
+    # key columns the moments are grouped by before each level, and after
+    # the last one (none)
+    level_keys = [list(dict.fromkeys(c for d in fold[i:] for c in d.key))
+                  for i in range(len(fold) + 1)]
+    key_cols = list(dict.fromkeys([c for d in gather for c in d.key] + level_keys[0]))
 
-    elif inner_dim is not None:
-        bc = spark.sparkContext.broadcast(inner_dim)
+    # the tasks' column order (bias, then the fact's, the gathered and the
+    # folded attributes) → the DenseCofactor layout (attributes in schema order)
+    columns = dense_columns(schema, categories, owner)
+    pos = {c: k for k, c in enumerate(columns)}
+    order = [0] + [pos[c] for attrs in (fact_attrs, *(d.attrs for d in (*gather, *fold)))
+                   for c in dense_columns(schema, categories, attrs)[1:]]
+    back = np.argsort(order)
+    p = len(columns)
 
-        def batch_partials(pdf: pd.DataFrame) -> dict:
-            dim = bc.value
-            nk = len(inner_keys)
-            parts = lift_grouped(pdf, schema, attrs, out_keys + inner_keys)
-            acc: dict = {}
-            for k, t in parts.items():
-                k = k if isinstance(k, tuple) else (k,)
-                okey, ikey = k[:-nk], k[-nk:]
-                okey = okey[0] if len(okey) == 1 else okey
-                d = dim.get(ikey if nk > 1 else ikey[0])
-                if d is None:
-                    continue
-                prod = t * d
-                prev = acc.get(okey)
-                acc[okey] = prod if prev is None else prev + prod
-            return acc
+    def lift(pdf: pd.DataFrame) -> np.ndarray:
+        x = _design(pdf, schema, categories, fact_attrs)
+        keys = {c: pdf[c].to_numpy() for c in key_cols}
+        for key, index, rows in gathers:
+            hit = index.get_indexer(_key_index([keys[c] for c in key]))
+            keep = hit >= 0  # inner join: rows without a match drop out
+            x = np.hstack([x[keep], rows[hit[keep], 1:]])
+            keys = {c: v[keep] for c, v in keys.items()}
+        if len(x) == 0:
+            return np.zeros((p, p))
+        gid, keys = _groups(keys, level_keys[0], len(x))
+        m = _moments(x, gid)
+        for i, (key, index, rows) in enumerate(levels):
+            hit = index.get_indexer(_key_index([keys[c] for c in key]))
+            keep = hit >= 0
+            if not keep.any():
+                return np.zeros((p, p))
+            b = rows[hit[keep]]
+            m = _ring_mul(m[keep], b[:, :, None] * b[:, None, :])
+            gid, keys = _groups({c: v[keep] for c, v in keys.items()},
+                                level_keys[i + 1], len(m))
+            m = _segment_sum(m, gid)
+        return m[0]
 
-    else:
+    def cofactor(fact: DataFrame, *,
+                 where: list[Column] | None = None) -> Triple | list[Triple]:
+        cols = list(dict.fromkeys(key_cols + list(fact_attrs)))
+        per_task = scan_partials(fact, cols, where, lift, lambda: np.zeros((p, p)))
+        out = []
+        for k in range(len(where) if where is not None else 1):
+            mat = sum((accs[k] for accs in per_task), np.zeros((p, p)))[np.ix_(back, back)]
+            out.append(Triple.from_dense(DenseCofactor(schema, columns, pos, mat, mat[0, 0])))
+        return out if where is not None else out[0]
 
-        def batch_partials(pdf: pd.DataFrame) -> dict:
-            return lift_grouped(pdf, schema, attrs, out_keys)
-
-    def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for b in batches:
-            if len(b) == 0:
-                continue
-            parts = batch_partials(b)
-            if not parts:
-                continue
-            rows = []
-            for k, t in parts.items():
-                k = k if isinstance(k, tuple) else (k,)
-                rows.append(list(k) + [pickle.dumps(t)])
-            yield pd.DataFrame(rows, columns=out_keys + ["t"])
-
-    cols = list(dict.fromkeys(out_keys + inner_keys + attrs))
-    src = df.select(*cols)
-    if cluster and out_keys:
-        # cluster rows by out-key so each key's partial is emitted once or
-        # twice, not once per Arrow batch it is scattered across — the
-        # partial-triple count (and downstream ring-adds) stays O(|keys|)
-        src = src.repartition(*out_keys).sortWithinPartitions(*out_keys)
-    return src.mapInPandas(gen, _out_schema_ddl(df, out_keys))
-
-
-def keyed_fold(keyed: DataFrame, schema: AttrSchema, inner_keys: Sequence[str],
-               inner_dim: dict, out_keys: Sequence[str]) -> DataFrame:
-    """Fold an already-keyed triple DataFrame one level up the join tree."""
-    spark = SparkSession.getActiveSession()
-    bc = spark.sparkContext.broadcast(inner_dim)
-    inner_keys = list(inner_keys)
-    out_keys = list(out_keys)
-
-    def fold_group(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
-        dim = bc.value
-        acc = Triple.zero(schema)
-        for row in pdf.itertuples(index=False):
-            d = getattr(row, "t")
-            ik = tuple(getattr(row, k) for k in inner_keys)
-            k = ik if len(inner_keys) > 1 else ik[0]
-            t = dim.get(k)
-            if t is None:
-                continue
-            acc = acc + pickle.loads(d) * t
-        vals = list(key)
-        return pd.DataFrame([vals + [pickle.dumps(acc)]], columns=out_keys + ["t"])
-
-    return keyed.groupBy(*out_keys).applyInPandas(
-        fold_group, _out_schema_ddl(keyed, out_keys)
-    )
-
-
-def final_fold(keyed: DataFrame, schema: AttrSchema,
-               inner_keys: Sequence[str] | None = None,
-               inner_dim: dict | None = None) -> Triple:
-    """Collect a (small) keyed triple DataFrame and finish on the driver."""
-    rows = keyed.collect()
-    acc = Triple.zero(schema)
-    for r in rows:
-        t = pickle.loads(r["t"])
-        if inner_dim is not None:
-            ik = tuple(r[k] for k in inner_keys)
-            k = ik if len(inner_keys) > 1 else ik[0]
-            d = inner_dim.get(k)
-            if d is None:
-                continue
-            t = t * d
-        acc = acc + t
-    return acc
-
+    return cofactor

@@ -21,7 +21,7 @@ check individual aggregates against the DuckDB oracle).
 from __future__ import annotations
 
 import pickle
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 import pandas as pd
 from pyspark.sql import Column, DataFrame
@@ -43,15 +43,33 @@ def cofactor_ring(df: DataFrame, schema: AttrSchema,
 
     ``where`` takes boolean Columns (a null counts as false) and returns one
     Triple per predicate, the cofactor of the rows it selects, all from the
-    same single job: the predicates are projected as flag columns, and each
-    task lifts every batch once per flag into that flag's accumulator.
+    same single job (``scan_partials``).
+    """
+    names = list(attrs) if attrs is not None else list(schema.names)
+    per_task = scan_partials(df, names, where,
+                             lambda b: lift_block(b, schema, names),
+                             lambda: Triple.zero(schema))
+    out = [triple_sum((accs[k] for accs in per_task), schema)
+           for k in range(len(where) if where is not None else 1)]
+    return out if where is not None else out[0]
+
+
+def scan_partials(df: DataFrame, cols: list[str], where: list[Column] | None,
+                  lift: Callable[[pd.DataFrame], Any],
+                  zero: Callable[[], Any]) -> list[list]:
+    """One ``mapInPandas`` job summing ``lift`` over the rows of ``df``.
+
+    Each task adds ``lift(batch)`` over its Arrow batches of ``df[cols]``,
+    starting from ``zero()``, and returns one partial per predicate of
+    ``where`` (the predicates are projected as flag columns, and each batch
+    is lifted once per flag), or a single whole-batch partial without
+    ``where``. The result holds each task's list of partials.
 
     The input is coalesced to ``defaultParallelism`` partitions first: each
     Python task costs tens of milliseconds to start and feed, against a few
     milliseconds of lifting per 10k rows, so the scan runs one task per core
     rather than one per input partition (a no-op for narrower inputs).
     """
-    names = list(attrs) if attrs is not None else list(schema.names)
     dp = df.sparkSession.sparkContext.defaultParallelism
     preds = where if where is not None else [None]
     # a None flag lifts the whole batch (the call without ``where``); the
@@ -59,20 +77,17 @@ def cofactor_ring(df: DataFrame, schema: AttrSchema,
     flags = [None if p is None else f"__where_{k}" for k, p in enumerate(preds)]
 
     def partials(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        accs = [Triple.zero(schema) for _ in flags]
+        accs = [zero() for _ in flags]
         for b in batches:
             for k, flag in enumerate(flags):
                 sel = b if flag is None else b[b[flag]]
-                accs[k] = accs[k] + lift_block(sel, schema, names)
+                accs[k] = accs[k] + lift(sel)
         yield pd.DataFrame({"t": [pickle.dumps(accs)]})
 
-    proj = df.select(*names, *[F.coalesce(p, F.lit(False)).alias(f)
-                               for p, f in zip(preds, flags) if f is not None])
+    proj = df.select(*cols, *[F.coalesce(p, F.lit(False)).alias(f)
+                              for p, f in zip(preds, flags) if f is not None])
     rows = proj.coalesce(dp).mapInPandas(partials, "t binary").collect()
-    per_task = [pickle.loads(r.t) for r in rows]
-    out = [triple_sum((accs[k] for accs in per_task), schema)
-           for k in range(len(flags))]
-    return out if where is not None else out[0]
+    return [pickle.loads(r.t) for r in rows]
 
 
 def cofactor_sql(df: DataFrame, schema: AttrSchema,

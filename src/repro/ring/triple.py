@@ -31,7 +31,9 @@ analogue of the paper's ``SUM_TRIPLE`` aggregate operating on value vectors.
 
 ``Triple.to_dense`` expands a triple into the classic one-hot cofactor matrix
 with a bias row/column, from which both ridge/stochastic linear regression and
-LDA read their parameters (Section 3).
+LDA read their parameters (Section 3); ``Triple.from_dense`` is its inverse,
+which factorized folds over dense keyed moments (``factorized.py``) use to
+hand back the sparse triple.
 """
 from __future__ import annotations
 
@@ -222,16 +224,13 @@ class Triple:
         this triple are used.
         """
         schema = self.schema
-        cols: list[tuple[int, Any]] = [(-1, None)]  # bias
-        for i, name in enumerate(schema.names):
-            if schema.is_cat(i):
-                cats = (categories or {}).get(name)
-                if cats is None:
-                    e = self.s.get(i, {})
-                    cats = sorted(e.keys()) if isinstance(e, dict) else []
-                cols.extend((i, c) for c in cats)
-            else:
-                cols.append((i, None))
+        cats = {}
+        for name in schema.categorical:
+            cats[name] = (categories or {}).get(name)
+            if cats[name] is None:
+                e = self.s.get(schema.index(name), {})
+                cats[name] = sorted(e.keys()) if isinstance(e, dict) else []
+        cols = dense_columns(schema, cats)
         pos = {c: k for k, c in enumerate(cols)}
         p = len(cols)
         mat = np.zeros((p, p))
@@ -266,6 +265,46 @@ class Triple:
         mat = np.triu(mat) + np.triu(mat, 1).T
         return DenseCofactor(schema=schema, columns=cols, pos=pos, mat=mat, n=self.n)
 
+    @classmethod
+    def from_dense(cls, dense: "DenseCofactor") -> "Triple":
+        """The inverse of ``to_dense``: the sparse triple of a one-hot matrix.
+
+        A category whose count ``mat[0, k]`` is zero is left absent, with
+        every entry it would key, as ``lift_block`` leaves out categories no
+        row holds; so is a zero categorical pair count. A matrix with
+        ``mat[0, 0] == 0`` (no rows) gives the zero triple.
+        """
+        schema, mat, cols = dense.schema, dense.mat, dense.columns
+        n = float(mat[0, 0])
+        if n == 0:
+            return cls.zero(schema)
+        s: dict[int, Rel] = {}
+        q: dict[tuple[int, int], Rel] = {}
+        live = [k for k, (i, v) in enumerate(cols)
+                if i >= 0 and (v is None or mat[0, k] != 0)]
+        for k in live:
+            i, v = cols[k]
+            if v is None:
+                s[i] = float(mat[0, k])
+            else:
+                s.setdefault(i, {})[v] = float(mat[0, k])
+        # columns run in schema order, so for a <= b, i <= j
+        for a, ka in enumerate(live):
+            i, vi = cols[ka]
+            for kb in live[a:]:
+                j, vj = cols[kb]
+                val = float(mat[ka, kb])
+                if vi is None and vj is None:
+                    q[(i, j)] = val
+                elif vi is None or vj is None:
+                    q.setdefault((i, j), {})[vi if vj is None else vj] = val
+                elif i == j:
+                    if vi == vj:
+                        q.setdefault((i, i), {})[vi] = val
+                elif val != 0:
+                    q.setdefault((i, j), {})[(vi, vj)] = val
+        return cls(schema, n, s, q)
+
 
 @dataclass
 class DenseCofactor:
@@ -285,6 +324,23 @@ class DenseCofactor:
     def attr_cols(self, i: int) -> list[int]:
         """Dense column indices belonging to attribute ``i``."""
         return [k for k, (a, _) in enumerate(self.columns) if a == i]
+
+
+def dense_columns(schema: AttrSchema, categories: dict[str, list],
+                  attrs: Iterable[str] | None = None) -> list[tuple[int, Any]]:
+    """The ``DenseCofactor.columns`` layout: the bias, then ``attrs`` (all
+    of the schema by default) in schema order, each categorical attribute
+    expanded to one column per entry of ``categories[name]``."""
+    keep = set(schema.names if attrs is None else attrs)
+    cols: list[tuple[int, Any]] = [(-1, None)]
+    for i, name in enumerate(schema.names):
+        if name not in keep:
+            continue
+        if schema.is_cat(i):
+            cols.extend((i, c) for c in categories[name])
+        else:
+            cols.append((i, None))
+    return cols
 
 
 def _cross(x: int, u: Rel, y: int, v: Rel, cat: tuple[bool, ...]):
@@ -402,106 +458,3 @@ def triple_sum(triples: Iterable[Triple], schema: AttrSchema) -> Triple:
     for t in triples:
         acc = acc + t
     return acc
-
-
-def lift_grouped(pdf: pd.DataFrame, schema: AttrSchema,
-                 attrs: Iterable[str], by: list[str]) -> dict:
-    """Bulk λ with GROUP BY: one Triple per distinct key of ``by``.
-
-    The vectorized core of factorized folds: per-group counts, continuous
-    sums, pairwise-product sums, and categorical group-bys are computed with
-    pandas/NumPy kernels over the whole block, then assembled into one
-    ``Triple`` per key — instead of one Python ``lift_block`` call per group,
-    whose per-call overhead dominates when groups are small and numerous.
-
-    Keys are scalars for a single ``by`` column, tuples otherwise.
-    Equivalent to ``{k: lift_block(g, schema, attrs) for k, g in groupby}``
-    (asserted by tests).
-    """
-    names = list(attrs)
-    cont = [n for n in names if not schema.is_cat(schema.index(n))]
-    cats = [n for n in names if schema.is_cat(schema.index(n))]
-    if len(pdf) == 0:
-        return {}
-
-    def norm_key(k):
-        return _py(k[0]) if isinstance(k, tuple) and len(by) == 1 else (
-            tuple(_py(x) for x in k) if isinstance(k, tuple) else _py(k)
-        )
-
-    work_cols: dict[str, np.ndarray] = {}
-    pair_names: list[tuple[str, int, int]] = []
-    if cont:
-        xc = pdf[cont].to_numpy(dtype=np.float64, copy=False)
-        if np.isnan(xc).any():
-            raise ValueError("lift_grouped over data with NaNs — impute first")
-        for a, ca in enumerate(cont):
-            work_cols[f"__s_{a}"] = xc[:, a]
-            for b in range(a, len(cont)):
-                i, j = schema.index(ca), schema.index(cont[b])
-                key = (i, j) if i <= j else (j, i)
-                col = f"__q_{a}_{b}"
-                work_cols[col] = xc[:, a] * xc[:, b]
-                pair_names.append((col, *key))
-    work = pd.DataFrame(work_cols, index=pdf.index)
-    work[by] = pdf[by]
-    gb = work.groupby(by, sort=False, observed=True)
-    sizes = gb.size()
-    agg = gb.sum() if work_cols else None
-
-    out: dict = {}
-    if agg is not None:
-        # numpy row-at-a-time assembly: ~100x faster than .loc per key
-        s_idx = [schema.index(ca) for ca in cont]
-        col_pos = {c: k for k, c in enumerate(agg.columns)}
-        s_pos = [col_pos[f"__s_{a}"] for a in range(len(cont))]
-        q_pos = [(col_pos[col], i, j) for col, i, j in pair_names]
-        mat = agg.to_numpy(dtype=np.float64)
-        nvec = sizes.to_numpy(dtype=np.float64)
-        for r, k in enumerate(agg.index):
-            row = mat[r]
-            s = {i: row[p] for i, p in zip(s_idx, s_pos)}
-            q = {(i, j): row[p] for p, i, j in q_pos}
-            out[norm_key(k)] = Triple(schema, nvec[r], s, q)
-    else:
-        for k, n_rows in sizes.items():
-            out[norm_key(k)] = Triple(schema, float(n_rows), {}, {})
-
-    for cname in cats:
-        i = schema.index(cname)
-        counts = pdf.groupby(by + [cname], sort=False, observed=True).size()
-        for k, v in counts.items():
-            key, cv = norm_key(k[:-1] if len(by) > 1 else k[0]), _py(k[-1])
-            t = out[key]
-            t.s.setdefault(i, {})[cv] = t.s.get(i, {}).get(cv, 0.0) + float(v)
-            t.q.setdefault((i, i), {})[cv] = (
-                t.q.get((i, i), {}).get(cv, 0.0) + float(v)
-            )
-        if cont:
-            gsum = pdf.groupby(by + [cname], sort=False, observed=True)[cont].sum()
-            pks = [(i, j) if i <= j else (j, i) for j in map(schema.index, cont)]
-            # one NumPy conversion, rows walked by position: building a
-            # pandas Series per row (iterrows) dominated this function
-            for k, row in zip(gsum.index, gsum.to_numpy(dtype=np.float64)):
-                key, cv = norm_key(k[:-1] if len(by) > 1 else k[0]), _py(k[-1])
-                q = out[key].q
-                for pk, v in zip(pks, row.tolist()):
-                    rel = q.setdefault(pk, {})
-                    rel[cv] = rel.get(cv, 0.0) + v
-
-    for a in range(len(cats)):
-        for b in range(a + 1, len(cats)):
-            i, j = schema.index(cats[a]), schema.index(cats[b])
-            swap = i > j
-            if swap:
-                i, j = j, i
-            pair = pdf.groupby(by + [cats[a], cats[b]], sort=False,
-                               observed=True).size()
-            for k, v in pair.items():
-                key = norm_key(k[:-2] if len(by) > 1 else k[0])
-                va, vb = _py(k[-2]), _py(k[-1])
-                rel_key = (vb, va) if swap else (va, vb)
-                rel = out[key].q.setdefault((i, j), {})
-                rel[rel_key] = rel.get(rel_key, 0.0) + float(v)
-
-    return out

@@ -111,3 +111,40 @@ class TestFactorizedMice:
         with pytest.raises(ValueError, match="not declared"):
             mice_low(spark.createDataFrame(pdf), fl["ds"].schema, ["distance"],
                      plan=fl["plan"])
+
+
+class TestFusedScans:
+    def test_where_matches_filtered_folds(self, spark, rt):
+        ds = rt["ds"]
+        preds = [F.col("locn") < 3, F.col("inventoryunits") > 60]
+        got = rt["plan"].cofactor(rt["fact"], where=preds)
+        joined = spark.createDataFrame(ds.joined())
+        for p, t in zip(preds, got):
+            mat = cofactor_ring(joined.filter(p), ds.schema)
+            assert t.allclose(mat, rtol=1e-6, atol=1e-2)
+
+    def test_one_job_per_scan(self, spark, rt):
+        """A factorized Low round (one attribute, two iterations) runs two
+        scans, each one Spark job."""
+        import dataclasses
+
+        sc = spark.sparkContext
+        groups = []
+
+        def traced(fact, **kwargs):
+            groups.append(f"test-fact-scan-{len(groups)}")
+            sc.setJobGroup(groups[-1], "scan")
+            try:
+                return rt["plan"].cofactor(fact, **kwargs)
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+
+        plan = dataclasses.replace(rt["plan"], cofactor=traced)
+        masked, _ = inject_missing(rt["ds"].tables["inventory"], ["inventoryunits"],
+                                   0.2, "MCAR", seed=5)
+        mice_low(spark.createDataFrame(masked), rt["ds"].schema, ["inventoryunits"],
+                 plan=plan, iters=2, noise=False)
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        assert len(groups) == 2
+        for g in groups:
+            assert len(sc.statusTracker().getJobIdsForGroup(g)) == 1, g

@@ -305,3 +305,20 @@ class TestDenseExpansion:
         d1 = (whole - part).to_dense(categories=cats)
         d2 = lift_block(pdf.iloc[25:], SMIX).to_dense(categories=cats)
         np.testing.assert_allclose(d1.mat, d2.mat, atol=1e-8)
+
+    def test_from_dense_round_trip(self):
+        """from_dense inverts to_dense: same keys, values equal. The pinned
+        domain holds a category no row has (left absent again), and some
+        pairs of categories never occur together."""
+        pdf = block(40, seed=13, cats=("x", "y"))
+        pdf.loc[pdf["c"] == "x", "d"] = 0
+        t = lift_block(pdf, SMIX)
+        back = Triple.from_dense(t.to_dense(categories={"c": ["x", "y", "z"],
+                                                        "d": [0, 1]}))
+        assert ("x", 1) not in t.q[(2, 3)]
+        assert back.n == t.n
+        assert back.s.keys() == t.s.keys() and back.q.keys() == t.q.keys()
+        assert back.s == t.s and back.q == t.q
+
+    def test_from_dense_of_zero(self):
+        assert Triple.from_dense(Triple.zero(SMIX).to_dense()) == Triple.zero(SMIX)
