@@ -7,40 +7,37 @@ These reproduce the *cost structure* Figure 4 attributes to the competitors
   step — every category becomes a physical indicator column;
 * the cofactor matrix computed with O(w²) plain *scalar* SQL aggregates over
   the one-hot width ``w`` (no ring value, no group-by compaction);
-* direct solve of the normal equations per column, retrained from scratch on
-  every column of every iteration (no computation sharing);
+* every column of every iteration retrained from scratch (no computation
+  sharing);
 * ``madlib=True`` additionally re-materializes the training projection per
   column, modelling MADlib's dense-matrix staging.
 
 Model quality is equivalent to ours by construction (the paper reports <1 %
-RMSE difference vs SystemDS/MADlib after convergence): the same normal
-equations for continuous targets, and LDA parameter extraction for
-categorical ones — both read from the scalar-SQL cofactor matrix.
+RMSE difference vs SystemDS/MADlib after convergence): the scalar-SQL
+cofactor matrix is handed to the same ``mice.step.fit`` and
+``impute_column`` the MICE loops use, so the models and the imputation
+expressions are shared code, and only the cofactor's cost path differs.
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.mice.baseline import MiceResult
-from repro.mice.prep import Prepared, mask_col, prepare
-from repro.mice.step import attr_seed
+from repro.mice.prep import mask_col, prepare
+from repro.mice.step import attr_seed, fit, impute_column
 from repro.mice.timing import TimingLog
-from repro.models.stochastic import box_muller_expr
 from repro.ring.schema import AttrSchema
+from repro.ring.triple import DenseCofactor, Triple, dense_columns
 
 
-def _onehot_cols(prep: Prepared) -> list[tuple[str, str, object]]:
-    """(dense column name, source attr, category|None) in a fixed order."""
-    cols: list[tuple[str, str, object]] = []
-    for a in prep.schema.names:
-        if prep.schema.is_cat(a):
-            for v in prep.categories[a]:
-                cols.append((f"__oh_{a}_{v}", a, v))
-        else:
-            cols.append((a, a, None))
-    return cols
+def _onehot_cols(schema: AttrSchema, dense_cols) -> list[tuple[str, str, object]]:
+    """(physical column, source attr, category|None) per ``dense_columns``
+    entry after the bias, in that order."""
+    names = schema.names
+    return [(names[i] if v is None else f"__oh_{names[i]}_{v}", names[i], v)
+            for i, v in dense_cols[1:]]
 
 
 def _encode(df: DataFrame, cols) -> DataFrame:
@@ -48,6 +45,25 @@ def _encode(df: DataFrame, cols) -> DataFrame:
         if v is not None:
             df = df.withColumn(name, (F.col(attr) == F.lit(v)).cast("double"))
     return df
+
+
+def _scalar_cofactor(df: DataFrame, names: list[str]) -> np.ndarray:
+    """The one-hot cofactor matrix with a bias row/column, from O(w²) scalar
+    SUM aggregates in one wide aggregation."""
+    aggs = [F.count(F.lit(1)).alias("__n")]
+    for i, a in enumerate(names):
+        aggs.append(F.sum(F.col(a)).alias(f"s_{i}"))
+        for j in range(i, len(names)):
+            aggs.append(F.sum(F.col(a) * F.col(names[j])).alias(f"q_{i}_{j}"))
+    row = df.agg(*aggs).collect()[0]
+    p = len(names)
+    mat = np.zeros((p + 1, p + 1))
+    mat[0, 0] = float(row["__n"])
+    for i in range(p):
+        mat[0, i + 1] = float(row[f"s_{i}"] or 0.0)
+        for j in range(i, p):
+            mat[i + 1, j + 1] = float(row[f"q_{i}_{j}"] or 0.0)
+    return np.triu(mat) + np.triu(mat, 1).T
 
 
 def mice_competitor(
@@ -66,16 +82,15 @@ def mice_competitor(
     timing = timing or TimingLog()
     with timing.time("preprocess.prepare"):
         prep = prepare(df, schema, incomplete)
+    dense_cols = dense_columns(schema, prep.categories)
+    pos = {c: k for k, c in enumerate(dense_cols)}
     with timing.time("preprocess.onehot"):
-        cols = _onehot_cols(prep)
+        cols = _onehot_cols(schema, dense_cols)
         cur = _encode(prep.df, cols).localCheckpoint(eager=True)
     names = [c[0] for c in cols]
 
     for it in range(iters):
         for ai, attr in enumerate(incomplete):
-            is_cat = schema.is_cat(attr)
-            target_cols = [c for c in cols if c[1] == attr]
-            feat = [c for c in cols if c[1] != attr]
             observed = cur.filter(~F.col(mask_col(attr)))
             if madlib:
                 with timing.time("iter.materialize"):
@@ -83,93 +98,18 @@ def mice_competitor(
                         *names, mask_col(attr)
                     ).localCheckpoint(eager=True)
             with timing.time("iter.cofactor"):
-                # O(w²) scalar SUM aggregates in one wide aggregation
-                aggs = [F.count(F.lit(1)).alias("__n")]
-                w = [c[0] for c in feat] + [c[0] for c in target_cols]
-                for i, a in enumerate(w):
-                    aggs.append(F.sum(F.col(a)).alias(f"s_{i}"))
-                    for j in range(i, len(w)):
-                        aggs.append(
-                            F.sum(F.col(a) * F.col(w[j])).alias(f"q_{i}_{j}")
-                        )
-                row = observed.agg(*aggs).collect()[0]
+                mat = _scalar_cofactor(observed, names)
             with timing.time("iter.train"):
-                p = len(w)
-                n = float(row["__n"])
-                mat = np.zeros((p + 1, p + 1))
-                mat[0, 0] = n
-                for i in range(p):
-                    mat[0, i + 1] = float(row[f"s_{i}"] or 0.0)
-                    for j in range(i, p):
-                        mat[i + 1, j + 1] = float(row[f"q_{i}_{j}"] or 0.0)
-                mat = np.triu(mat) + np.triu(mat, 1).T
-                nf = len(feat) + 1  # bias + features
-                fm = mat[:nf, :nf]
-                if n == 0:
-                    continue
-                if not is_cat:
-                    c = mat[:nf, nf]
-                    reg = l2 * n * np.eye(nf)
-                    reg[0, 0] = 0.0
-                    theta = np.linalg.solve(fm + reg, c)
-                    q_tt = mat[nf, nf]
-                    sigma2 = max(
-                        float(theta @ fm @ theta - 2 * theta @ c + q_tt) / n, 0.0
-                    )
-                    pred = _linear_expr(theta, feat)
-                    if noise and sigma2 > 0:
-                        pred = pred + box_muller_expr(
-                            float(np.sqrt(sigma2)), attr_seed(seed, it, ai)
-                        )
-                else:
-                    pred = _lda_expr(mat, nf, feat, target_cols, prep, attr)
-                    if pred is None:
-                        continue
+                dense = DenseCofactor(schema, dense_cols, pos, mat, mat[0, 0])
+                model = fit(Triple.from_dense(dense), attr, prep, l2=l2)
+            if model is None:
+                continue
             with timing.time("iter.update"):
-                cur = cur.withColumn(
-                    attr,
-                    F.when(F.col(mask_col(attr)), pred).otherwise(F.col(attr)),
-                )
-                if is_cat:
-                    cur = _encode(cur, target_cols)  # refresh indicators
+                cur = cur.withColumn(attr, impute_column(
+                    model, attr, prep, attr_seed(seed, it, ai), noise))
+                if schema.is_cat(attr):  # refresh indicators
+                    cur = _encode(cur, [c for c in cols if c[1] == attr])
                 cur = cur.localCheckpoint(eager=True)
 
     out = cur.drop(*[c[0] for c in cols if c[2] is not None])
     return MiceResult(df=out, timing=timing, prep=prep)
-
-
-def _linear_expr(theta: np.ndarray, feat) -> Column:
-    expr = F.lit(float(theta[0]))
-    for th, (name, _, _) in zip(theta[1:], feat):
-        expr = expr + F.lit(float(th)) * F.col(name)
-    return expr
-
-
-def _lda_expr(mat, nf, feat, target_cols, prep: Prepared, attr: str):
-    """LDA scores from the scalar-SQL cofactor (same math as repro.models.lda)."""
-    p = nf - 1
-    n_c = np.array([mat[nf + k, nf + k] for k in range(len(target_cols))])
-    keep = n_c > 0
-    if not keep.any():
-        return None
-    classes = [v for (_, _, v), kp in zip(target_cols, keep) if kp]
-    n_c = n_c[keep]
-    n = n_c.sum()
-    s_c = np.stack(
-        [mat[1:nf, nf + k] for k, kp in enumerate(keep) if kp]
-    )
-    mu = s_c / n_c[:, None]
-    fm = mat[1:nf, 1:nf]
-    sigma = fm / n - (mu.T * (n_c / n)) @ mu
-    ridge = 1e-4 * max(np.trace(sigma) / max(p, 1), 1e-12) * np.eye(p)
-    a = np.linalg.solve(sigma + ridge, mu.T).T
-    b = np.log(n_c / n) - 0.5 * np.einsum("cp,cp->c", mu, a)
-    scores = []
-    for ci in range(len(classes)):
-        e = F.lit(float(b[ci]))
-        for k, (name, _, _) in enumerate(feat):
-            e = e + F.lit(float(a[ci, k])) * F.col(name)
-        scores.append(e)
-    arr = F.array(*scores)
-    idx = F.array_position(arr, F.array_max(arr)).cast("int")
-    return F.element_at(F.array(*[F.lit(c) for c in classes]), idx)

@@ -55,10 +55,10 @@ class Partitions:
     #: rows (keyed ``mask_col(a)``). Masks are fixed at prepare time, so these
     #: never change across iterations; an attribute with no masked row needs
     #: no update, and knowing that issues no job.
-    counts: dict[str, int] = None
+    counts: dict[str, int]
 
     def count_of(self, name: str) -> int:
-        return self.counts[name] if self.counts is not None else -1
+        return self.counts[name]
 
     def pred(self, name: str) -> Column:
         """Membership of ``"overflow"``, ``"none"`` or ``single[name]``, as a
@@ -90,27 +90,26 @@ class Partitions:
         return self.complete.unionByName(self.missing)
 
 
-def partition(prep: Prepared, mode: str, checkpoint: bool = True) -> Partitions:
+def partition(prep: Prepared, mode: str) -> Partitions:
     """Split the prepared dataset into ``complete`` and ``missing``.
 
-    With ``checkpoint``, both frames are materialized, and the row counts
-    the loop reads (``counts``) are observed while they are
-    (``DataFrame.observe``): two Spark jobs.
+    Both frames are materialized, and the row counts the loop reads
+    (``counts``) are observed while they are (``DataFrame.observe``): two
+    Spark jobs.
     """
     if mode not in ("low", "high"):
         raise ValueError(f"mode must be 'low' or 'high': {mode}")
     inc = prep.incomplete
     nmiss = n_missing(inc)
-    parts = Partitions(mode=mode, incomplete=list(inc),
-                       complete=prep.df.filter(nmiss == 0),
-                       missing=prep.df.filter(nmiss > 0))
-    if checkpoint:
-        extra = {"complete": [], "missing": [F.sum(F.col(mask_col(a)).cast("long"))
-                                             .alias(mask_col(a)) for a in inc]}
-        parts.counts = {}
-        for name, aggs in extra.items():
-            obs = Observation()
-            frame = getattr(parts, name).observe(obs, F.count(F.lit(1)).alias(name), *aggs)
-            setattr(parts, name, frame.localCheckpoint(eager=True))
-            parts.counts.update({n: int(v or 0) for n, v in obs.get.items()})
-    return parts
+    masked = [F.sum(F.col(mask_col(a)).cast("long")).alias(mask_col(a))
+              for a in inc]
+    counts: dict[str, int] = {}
+    frames = {}
+    for name, where, aggs in (("complete", nmiss == 0, []),
+                              ("missing", nmiss > 0, masked)):
+        obs = Observation()
+        frames[name] = (prep.df.filter(where)
+                        .observe(obs, F.count(F.lit(1)).alias(name), *aggs)
+                        .localCheckpoint(eager=True))
+        counts.update({n: int(v or 0) for n, v in obs.get.items()})
+    return Partitions(mode=mode, incomplete=list(inc), counts=counts, **frames)

@@ -29,6 +29,7 @@ from pyspark.sql import functions as F
 
 from repro.ring.schema import AttrSchema
 from repro.ring.triple import Triple
+from .linreg import linear_expr
 
 
 @dataclass
@@ -42,30 +43,10 @@ class LDAModel:
     a: np.ndarray  # (C, p) score weights
     b: np.ndarray  # (C,) score offsets
 
-    def _score_exprs(self) -> list[Column]:
-        schema = self.schema
-        scores = []
-        for ci in range(len(self.classes)):
-            expr = F.lit(float(self.b[ci]))
-            cat_coeffs: dict[int, dict[Any, float]] = {}
-            for k, (i, v) in enumerate(self.features):
-                if v is None:
-                    expr = expr + F.lit(float(self.a[ci, k])) * F.col(schema.names[i])
-                else:
-                    cat_coeffs.setdefault(i, {})[v] = float(self.a[ci, k])
-            for i, coeffs in cat_coeffs.items():
-                kv = []
-                for v, th in coeffs.items():
-                    kv.extend([F.lit(v), F.lit(th)])
-                expr = expr + F.coalesce(
-                    F.create_map(*kv)[F.col(schema.names[i])], F.lit(0.0)
-                )
-            scores.append(expr)
-        return scores
-
     def predict_expr(self) -> Column:
         """argmax-class as a Catalyst expression (ties → first class)."""
-        scores = F.array(*self._score_exprs())
+        scores = F.array(*[linear_expr(self.schema, self.features, a_c, b_c)
+                           for a_c, b_c in zip(self.a, self.b)])
         idx = F.array_position(scores, F.array_max(scores)).cast("int")
         return F.element_at(F.array(*[F.lit(c) for c in self.classes]), idx)
 

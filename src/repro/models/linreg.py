@@ -30,6 +30,29 @@ from repro.ring.schema import AttrSchema
 from repro.ring.triple import Triple
 
 
+def linear_expr(schema: AttrSchema, features: list[tuple[int, Any]],
+                weights, offset: float) -> Column:
+    """``offset + Σ weight·x`` over one-hot ``features`` as a Catalyst
+    expression: ``θ_j * col`` per continuous feature, and one literal-map
+    lookup per categorical attribute (a category without a weight adds 0)."""
+    expr = F.lit(float(offset))
+    # group categorical coefficients per attribute into one map lookup
+    cat_coeffs: dict[int, dict[Any, float]] = {}
+    for (i, v), th in zip(features, weights):
+        if v is None:
+            expr = expr + F.lit(float(th)) * F.col(schema.names[i])
+        else:
+            cat_coeffs.setdefault(i, {})[v] = float(th)
+    for i, coeffs in cat_coeffs.items():
+        kv = []
+        for v, th in coeffs.items():
+            kv.extend([F.lit(v), F.lit(th)])
+        expr = expr + F.coalesce(
+            F.create_map(*kv)[F.col(schema.names[i])], F.lit(0.0)
+        )
+    return expr
+
+
 @dataclass
 class RidgeModel:
     """Linear model over the one-hot feature space of ``schema`` minus ``target``.
@@ -50,24 +73,8 @@ class RidgeModel:
     # ------------------------------------------------------------- predict
     def predict_expr(self) -> Column:
         """Catalyst expression computing θᵀx over the feature columns."""
-        schema = self.schema
-        # bias
-        expr = F.lit(float(self.theta[0]))
-        # group categorical coefficients per attribute into one map lookup
-        cat_coeffs: dict[int, dict[Any, float]] = {}
-        for (i, v), th in zip(self.features[1:], self.theta[1:]):
-            if v is None:
-                expr = expr + F.lit(float(th)) * F.col(schema.names[i])
-            else:
-                cat_coeffs.setdefault(i, {})[v] = float(th)
-        for i, coeffs in cat_coeffs.items():
-            kv = []
-            for v, th in coeffs.items():
-                kv.extend([F.lit(v), F.lit(th)])
-            expr = expr + F.coalesce(
-                F.create_map(*kv)[F.col(schema.names[i])], F.lit(0.0)
-            )
-        return expr
+        return linear_expr(self.schema, self.features[1:], self.theta[1:],
+                           self.theta[0])
 
     def predict_np(self, pdf: pd.DataFrame) -> np.ndarray:
         """Driver-side prediction over a pandas frame (for evaluation)."""

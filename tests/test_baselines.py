@@ -187,19 +187,20 @@ class TestSparkCompetitors:
             fl_case["masked"]["distance"].mean(),
         )
 
-    def test_systemds_like_matches_our_mice_quality(self, fl_case):
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_systemds_like_matches_our_mice_quality(self, fl_case, noise):
         """Competitor MICE reaches the same solution (different cost path)."""
         from repro.mice import mice_baseline
 
         ds = fl_case["ds"]
         ours = (
             mice_baseline(fl_case["sdf"], ds.schema, ds.incomplete, iters=1,
-                          noise=False, seed=0)
+                          noise=noise, seed=0)
             .df.orderBy("__rid").toPandas()
         )
         theirs = (
             mice_competitor(fl_case["sdf"], ds.schema, ds.incomplete, iters=1,
-                            noise=False, seed=0)
+                            noise=noise, seed=0)
             .df.orderBy("__rid").toPandas()
         )
         for a in ds.incomplete:

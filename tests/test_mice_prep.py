@@ -87,7 +87,7 @@ class TestPrepare:
 class TestPartition:
     @pytest.fixture(scope="class", params=["low", "high"])
     def parts(self, request, prepped):
-        return partition(prepped, mode=request.param, checkpoint=False)
+        return partition(prepped, mode=request.param)
 
     def test_disjoint_and_complete(self, parts, prepped):
         total = prepped.df.count()
@@ -145,7 +145,7 @@ class TestPartitionSingleAttr:
         sdf = spark.createDataFrame(pdf)
         prep = prepare(sdf, ds.schema, ["distance"])
         for mode in ("low", "high"):
-            parts = partition(prep, mode=mode, checkpoint=False)
+            parts = partition(prep, mode=mode)
             assert parts.overflow.count() == 0
             assert parts.single["distance"].count() == 0
             assert parts.none.count() == mask["distance"].sum()
