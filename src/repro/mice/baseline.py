@@ -2,8 +2,9 @@
 
 Per incomplete attribute and iteration: compute the cofactor Triple over the
 *observed* part from scratch (one ring pass over the filtered dataset),
-train, impute the missing part. No partitioning, no sharing — the reference
-point the Low/High variants are measured against.
+train, impute the missing part (a lazy projection, evaluated by the next
+scan). No partitioning, no sharing — the reference point the Low/High
+variants are measured against.
 """
 from __future__ import annotations
 
@@ -44,6 +45,10 @@ def mice_baseline(
         prep = prepare(df, schema, incomplete)
     cur = prep.df
     for it in range(iters):
+        if it:
+            # the updates stay lazy projections; cut the plan once per
+            # iteration, materialized by the next scan
+            cur = cur.localCheckpoint(eager=False)
         for ai, attr in enumerate(incomplete):
             with timing.time("iter.cofactor"):
                 observed = cur.filter(~cur[mask_col(attr)])

@@ -17,17 +17,24 @@ One loop runs both of the paper's partitionings (``partition.py``):
 
 The data is two checkpointed frames, ``complete`` (never rewritten) and
 ``missing``; the paper's partitions are predicates over ``missing``. Each
-attribute step is one update and one scan:
+attribute step is one update and one scan, and costs one Spark job:
 
-* the update rewrites ``missing`` once, with the seed Algorithm 1 uses for
-  the same (iteration, attribute), so with noise on every variant draws
-  the same noise for the same cell (``partition.py`` says why);
+* the update is a lazy projection of ``missing`` (no job), with the seed
+  Algorithm 1 uses for the same (iteration, attribute), so with noise on
+  every variant draws the same noise for the same cell (``partition.py``
+  says why);
 * the scan is one ``cofactor_ring`` pass over ``missing`` with a predicate
   per triple: Low's ``ΔC'`` of this step fused with ``ΔC`` of the next,
-  High's observed rows of the next step. The precomputed ``C`` (Low) or
-  ``C_complete`` (High) is fused with the first step's scan, and the last
-  step's ``ΔC'``, whose ``C`` is never read, is not computed. A round of
-  ``iters`` iterations over ``m`` attributes thus runs ``iters·m`` scans.
+  High's observed rows of the next step. It evaluates the pending update.
+  The precomputed ``C`` (Low) or ``C_complete`` (High) is fused with the
+  first step's scan, and the last step's ``ΔC'``, whose ``C`` is never
+  read, is not computed. A round of ``iters`` iterations over ``m``
+  attributes thus runs ``iters·m`` scans.
+
+Between iterations ``missing`` is checkpointed lazily, so the next scan
+materializes it and a plan never stacks more than ``m`` projections; a
+single iteration checkpoints nothing. The returned frame carries the last
+iteration's projections unevaluated.
 
 A step that imputes nothing (the attribute has no missing value, or its
 training set is empty so ``fit`` returns no model) rewrites nothing, scans
@@ -39,7 +46,9 @@ table of a normalized schema with missing values in fact columns only.
 Cofactors come from the plan's fold, which pushes the ring SUM past the
 joins, so the wide join is never materialized, and which returns one triple
 per predicate from one job, as ``cofactor_ring`` does; only the rows being
-imputed are enriched with dimension attributes, via broadcast joins.
+imputed are enriched with dimension attributes, via broadcast joins. These
+keep the fact's partitions and row order, so the enriched update stays a
+lazy projection too.
 """
 from __future__ import annotations
 
@@ -118,6 +127,10 @@ def algorithm2(
                 )
         if k + 1 == len(steps):
             break  # the last ΔC′ would restore a C that is never read
+        if ai + 1 == m:
+            # another iteration follows: cut the m stacked update projections
+            # from the plan, materialized by the next scan
+            parts.missing = parts.missing.localCheckpoint(eager=False)
         with timing.time(scan_phase):
             # low: ΔC′(attr) over the freshly imputed rows, fused with the
             # next step's ΔC (no ΔC′ when nothing was imputed: C stands as

@@ -5,10 +5,12 @@ The prepared dataset is held as two frames:
 
 * ``complete`` — records with no missing values; never rewritten,
 * ``missing``  — every other record, a narrow ``filter`` of ``prep.df``
-  that keeps each row's Spark partition and its order within it. It is
-  never repartitioned or coalesced, so a ``rand`` stream inside an update's
-  ``CASE WHEN`` draws the same value for a cell as it does over the whole
-  of ``prep.df`` (Algorithm 1's update).
+  that keeps each row's Spark partition and its order within it. The
+  loop's updates are lazy projections of it and its per-iteration
+  checkpoints are narrow too; it is never repartitioned or coalesced. So a
+  ``rand`` stream inside an update's ``CASE WHEN`` draws the same value for
+  a cell as it does over the whole of ``prep.df`` (Algorithm 1's update),
+  and the same value again each time a scan recomputes the projection.
 
 The paper's remaining partitions are predicates over ``missing`` (``pred``)
 and filtered views of it (``single``, ``overflow``, ``none``). Algorithm 2

@@ -4,7 +4,9 @@ Mirrors line 1 of both Algorithm 1 and 2: every missing value is replaced by
 the column mean (continuous) or mode (categorical) so the first cofactor
 pass sees a complete dataset; the original missingness is retained in
 boolean ``__miss_<attr>`` columns that drive training-set selection and
-prediction targets throughout the iterations.
+prediction targets throughout the iterations. Two Spark jobs: the
+checkpoint of the masked input, and one aggregate for every statistic; the
+imputed frame is a projection of the checkpoint.
 """
 from __future__ import annotations
 
@@ -27,7 +29,10 @@ def mask_col(attr: str) -> str:
 
 @dataclass
 class Prepared:
-    """Initially-imputed dataset plus metadata shared by all MICE variants."""
+    """Initially-imputed dataset plus metadata shared by all MICE variants.
+
+    ``df`` is a lazy projection (the mean/mode fill) of a checkpoint.
+    """
 
     df: DataFrame
     schema: AttrSchema
@@ -60,55 +65,46 @@ def prepare(df: DataFrame, schema: AttrSchema, incomplete: list[str],
     for a in incomplete:
         out = out.withColumn(mask_col(a), F.col(a).isNull())
 
-    cont_inc = [a for a in incomplete if not schema.is_cat(a)]
-    cat_inc = [a for a in incomplete if schema.is_cat(a)]
-    init: dict[str, Any] = {}
-    if cont_inc:
-        row = out.agg(*[F.avg(F.col(a)).alias(a) for a in cont_inc]).collect()[0]
-        init.update({a: row[a] for a in cont_inc})
-    for a in cat_inc:
-        mode = (
-            out.filter(F.col(a).isNotNull())
-            .groupBy(a)
-            .count()
-            .orderBy(F.desc("count"), F.asc(a))
-            .limit(1)
-            .collect()
-        )
-        init[a] = mode[0][a] if mode else None
+    # the input keeps its partitions, in order: the per-partition ``rand``
+    # streams of every later update follow them, and each variant must draw
+    # the same noise. A coalesce would regroup them by where the scheduler
+    # last saw a cached input's blocks, which can differ from one call to
+    # the next (cofactor scans cap their own task count in cofactor_ring)
+    raw = out.localCheckpoint(eager=True)
+
+    # one aggregate: mean (continuous) or mode (categorical, lowest value
+    # on a tie) of each incomplete attribute, the null count of every other
+    # attribute, and the domain of each categorical attribute. It reads the
+    # checkpoint in one task, so it needs no exchange and runs as one job.
+    others = [a for a in attrs if a not in set(incomplete)]
+    domains = [] if plan else list(schema.categorical)
+    stats = ([("init", a, F.mode(a, True) if schema.is_cat(a) else F.avg(a))
+              for a in sorted(incomplete, key=schema.is_cat)]
+             + [("nulls", a, F.sum(F.col(a).isNull().cast("long"))) for a in others]
+             + [("domain", a, F.collect_set(a)) for a in domains])
+    row = raw.coalesce(1).agg(*[c for *_, c in stats]).collect()[0] if stats else ()
+    got: dict[str, dict[str, Any]] = {"init": {}, "nulls": {}, "domain": {}}
+    for (kind, a, _), v in zip(stats, row):
+        got[kind][a] = v
+
+    init = got["init"]
     for a, v in init.items():
         if v is None:
             raise ValueError(f"attribute {a!r} has no observed values")
-        out = out.withColumn(a, F.coalesce(F.col(a), F.lit(v)))
 
     # loud guard: attributes not declared incomplete must be fully observed,
     # otherwise cofactor lifts would see NaNs mid-iteration
-    others = [a for a in attrs if a not in set(incomplete)]
-    if others:
-        row = out.agg(
-            *[F.sum(F.col(a).isNull().cast("long")).alias(a) for a in others]
-        ).collect()[0]
-        bad = [a for a in others if (row[a] or 0) > 0]
-        if bad:
-            raise ValueError(
-                f"attributes {bad} contain nulls but are not declared "
-                "incomplete — declare them or pre-impute them"
-            )
+    bad = [a for a in others if (got["nulls"][a] or 0) > 0]
+    if bad:
+        raise ValueError(
+            f"attributes {bad} contain nulls but are not declared "
+            "incomplete — declare them or pre-impute them"
+        )
 
-    if plan:
-        categories = plan.categories
-    else:
-        categories = {
-            a: sorted(r[a] for r in out.select(a).distinct().collect()
-                      if r[a] is not None)
-            for a in schema.categorical
-        }
-
-    # coalesce to core count: the partition frames and every imputation
-    # update inherit this count, so checkpointed rewrites run one task per
-    # core instead of hundreds of near-empty ones (cofactor scans cap their
-    # own task count in cofactor_ring)
-    dp = out.sparkSession.sparkContext.defaultParallelism
-    out = out.coalesce(dp).localCheckpoint(eager=True)
-    return Prepared(df=out, schema=schema, incomplete=list(incomplete),
+    categories = plan.categories if plan else {
+        a: sorted(v) for a, v in got["domain"].items()}
+    # the initial imputation is a lazy projection of the checkpoint
+    filled = raw.select(*[F.coalesce(F.col(c), F.lit(init[c])).alias(c)
+                          if c in init else c for c in raw.columns])
+    return Prepared(df=filled, schema=schema, incomplete=list(incomplete),
                     init_values=init, categories=categories)

@@ -2,15 +2,22 @@
 
 Both model families read the *same* triple (the paper's key observation):
 stochastic linear regression for continuous targets, LDA for categorical
-ones. Imputation is a single projection ``when(mask, pred).otherwise(col)``
-— Spark's analogue of the paper's column swap.
+ones. Imputation is a single lazy projection ``CASE WHEN mask THEN pred ELSE
+col END``, parsed from one SQL string — Spark's analogue of the paper's
+column swap. It issues no Spark job: the next scan of the frame evaluates
+it, and the loops checkpoint their frame once per iteration, so a plan
+holds at most one projection per incomplete attribute. Recomputing a
+projection is deterministic, ``rand(seed)`` included, because the frame
+under it is checkpointed and keeps each row's partition and position.
 """
 from __future__ import annotations
 
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-from repro.models import predict_stochastic_expr, train_lda, train_stochastic
+from repro.models import train_lda, train_stochastic
+from repro.models.linreg import sql_ident
+from repro.models.stochastic import predict_stochastic_sql
 from repro.ring.triple import Triple
 from .prep import Prepared, mask_col
 
@@ -37,20 +44,22 @@ def impute_column(model, target: str, prep: Prepared, seed: int,
                   noise: bool) -> Column:
     """Expression producing the new ``target`` column (masked rows imputed)."""
     if prep.schema.is_cat(target):
-        pred = model.predict_expr()
+        pred = model.predict_sql()
     else:
-        pred = predict_stochastic_expr(model, seed=seed, noise=noise)
-    return F.when(F.col(mask_col(target)), pred).otherwise(F.col(target))
+        pred = predict_stochastic_sql(model, seed=seed, noise=noise)
+    return F.expr(f"CASE WHEN {sql_ident(mask_col(target))} THEN {pred} "
+                  f"ELSE {sql_ident(target)} END")
 
 
 def apply_imputation(df: DataFrame, model, target: str, prep: Prepared,
                      seed: int, noise: bool, enrich=None) -> DataFrame:
-    """Rebuild ``df`` with the imputed target column (the "column swap").
+    """``df`` with the imputed target column (the "column swap"), as one
+    lazy ``select``.
 
     ``enrich`` joins on the attributes the model reads that ``df`` lacks (a
-    factorized plan's dimension attributes); they are dropped again before
-    the checkpoint.
+    factorized plan's dimension attributes); the projection keeps only
+    ``df``'s columns.
     """
     src = enrich(df) if enrich else df
-    out = src.withColumn(target, impute_column(model, target, prep, seed, noise))
-    return out.select(*df.columns).localCheckpoint(eager=True)
+    new = impute_column(model, target, prep, seed, noise).alias(target)
+    return src.select(*[new if c == target else c for c in df.columns])

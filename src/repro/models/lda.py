@@ -10,8 +10,9 @@ needs (the paper's (m+1)x(m+1) Q matrix):
 
 Prediction uses the linearized classifier (Eq. 3): ``argmax_c a_cᵀx + b_c``
 with ``a_c = Σ⁻¹ μ_c`` and ``b_c = ln π_c − ½ μ_cᵀ Σ⁻¹ μ_c``. The argmax is
-a Catalyst expression: build the per-class score array and take
-``element_at(classes, array_position(scores, array_max(scores)))``.
+a Catalyst expression, rendered as one Spark SQL string: build the per-class
+score array and take ``element_at(classes, array_position(scores,
+array_max(scores)))``.
 
 Categorical *features* participate through their one-hot indicator columns
 of the dense expansion (the triple's group-by relations), with a small ridge
@@ -29,7 +30,7 @@ from pyspark.sql import functions as F
 
 from repro.ring.schema import AttrSchema
 from repro.ring.triple import Triple
-from .linreg import linear_expr
+from .linreg import linear_sql, sql_literal
 
 
 @dataclass
@@ -43,12 +44,18 @@ class LDAModel:
     a: np.ndarray  # (C, p) score weights
     b: np.ndarray  # (C,) score offsets
 
+    def predict_sql(self) -> str:
+        """argmax-class as Spark SQL (ties → first class)."""
+        scores = "array({})".format(", ".join(
+            linear_sql(self.schema, self.features, a_c, b_c)
+            for a_c, b_c in zip(self.a, self.b)))
+        classes = "array({})".format(", ".join(map(sql_literal, self.classes)))
+        return (f"element_at({classes}, "
+                f"CAST(array_position({scores}, array_max({scores})) AS INT))")
+
     def predict_expr(self) -> Column:
-        """argmax-class as a Catalyst expression (ties → first class)."""
-        scores = F.array(*[linear_expr(self.schema, self.features, a_c, b_c)
-                           for a_c, b_c in zip(self.a, self.b)])
-        idx = F.array_position(scores, F.array_max(scores)).cast("int")
-        return F.element_at(F.array(*[F.lit(c) for c in self.classes]), idx)
+        """``predict_sql`` as a Catalyst expression."""
+        return F.expr(self.predict_sql())
 
     def predict_np(self, pdf: pd.DataFrame) -> np.ndarray:
         """Driver-side prediction (for tests/evaluation)."""

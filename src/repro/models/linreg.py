@@ -11,13 +11,17 @@ solvers are provided:
 * ``method="solve"`` — direct solve (used as the default; identical result
   up to the GD tolerance, cheaper at our model sizes).
 
-Prediction is a pure Catalyst column expression: continuous features
-contribute ``θ_j * col``, categorical features a literal-map lookup
-``map[col]`` (missing category → 0), so imputation runs as a single Spark
-projection with no Python UDF on the hot path.
+Prediction is a pure Catalyst expression: continuous features contribute
+``θ_j * col``, categorical features a literal-map lookup ``map[col]``
+(missing category → 0), so imputation runs as a single Spark projection with
+no Python UDF on the hot path. The expression is rendered as one Spark SQL
+string (``linear_sql``) and parsed by one ``F.expr`` call: building the same
+tree from ``F.lit``/``F.col`` objects costs one Py4J round trip per node
+(DESIGN.md §4 has the measurement).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -30,27 +34,57 @@ from repro.ring.schema import AttrSchema
 from repro.ring.triple import Triple
 
 
-def linear_expr(schema: AttrSchema, features: list[tuple[int, Any]],
-                weights, offset: float) -> Column:
-    """``offset + Σ weight·x`` over one-hot ``features`` as a Catalyst
-    expression: ``θ_j * col`` per continuous feature, and one literal-map
-    lookup per categorical attribute (a category without a weight adds 0)."""
-    expr = F.lit(float(offset))
+def sql_literal(v: Any) -> str:
+    """``v`` as a Spark SQL literal that parses back to exactly ``v``: a
+    float as its ``repr`` with the ``D`` (double) suffix, an int, a bool, or
+    a quoted string; negative numbers are parenthesized. A non-finite float
+    has no literal and raises ``ValueError``."""
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"no SQL literal for the non-finite value {v!r}")
+        text = f"{v!r}D"
+    elif isinstance(v, int):
+        text = str(v)
+    elif isinstance(v, str):
+        return "'" + v.replace("\\", "\\\\").replace("'", "\\'") + "'"
+    else:
+        raise TypeError(f"no SQL literal for {type(v).__name__} {v!r}")
+    return f"({text})" if text.startswith("-") else text
+
+
+def sql_ident(name: str) -> str:
+    """Column ``name`` as a backquoted Spark SQL identifier."""
+    return "`" + name.replace("`", "``") + "`"
+
+
+def linear_sql(schema: AttrSchema, features: list[tuple[int, Any]],
+               weights, offset: float) -> str:
+    """``offset + Σ weight·x`` over one-hot ``features`` as Spark SQL:
+    ``θ_j * col`` per continuous feature, and one literal-map lookup per
+    categorical attribute (a category without a weight adds 0)."""
+    terms = [sql_literal(float(offset))]
     # group categorical coefficients per attribute into one map lookup
     cat_coeffs: dict[int, dict[Any, float]] = {}
     for (i, v), th in zip(features, weights):
         if v is None:
-            expr = expr + F.lit(float(th)) * F.col(schema.names[i])
+            terms.append(f"{sql_literal(float(th))} * {sql_ident(schema.names[i])}")
         else:
             cat_coeffs.setdefault(i, {})[v] = float(th)
     for i, coeffs in cat_coeffs.items():
-        kv = []
-        for v, th in coeffs.items():
-            kv.extend([F.lit(v), F.lit(th)])
-        expr = expr + F.coalesce(
-            F.create_map(*kv)[F.col(schema.names[i])], F.lit(0.0)
-        )
-    return expr
+        kv = ", ".join(f"{sql_literal(v)}, {sql_literal(th)}"
+                       for v, th in coeffs.items())
+        terms.append(f"coalesce(map({kv})[{sql_ident(schema.names[i])}], 0.0D)")
+    return " + ".join(terms)
+
+
+def linear_expr(schema: AttrSchema, features: list[tuple[int, Any]],
+                weights, offset: float) -> Column:
+    """``linear_sql`` as a Catalyst expression."""
+    return F.expr(linear_sql(schema, features, weights, offset))
 
 
 @dataclass
@@ -71,10 +105,14 @@ class RidgeModel:
     gd_iters: int = 0
 
     # ------------------------------------------------------------- predict
+    def predict_sql(self) -> str:
+        """Spark SQL computing θᵀx over the feature columns."""
+        return linear_sql(self.schema, self.features[1:], self.theta[1:],
+                          self.theta[0])
+
     def predict_expr(self) -> Column:
-        """Catalyst expression computing θᵀx over the feature columns."""
-        return linear_expr(self.schema, self.features[1:], self.theta[1:],
-                           self.theta[0])
+        """``predict_sql`` as a Catalyst expression."""
+        return F.expr(self.predict_sql())
 
     def predict_np(self, pdf: pd.DataFrame) -> np.ndarray:
         """Driver-side prediction over a pandas frame (for evaluation)."""
@@ -118,6 +156,14 @@ def train_ridge(
     reg[0, 0] = 0.0  # do not penalize the bias
     iters = 0
     if method == "solve":
+        # the one-hot columns of a categorical feature sum to the bias
+        # column, so without a ridge the system is singular by construction
+        cats = [schema.names[i] for i, v in (dense.columns[k] for k in feat)
+                if v is not None]
+        if l2 == 0 and cats:
+            raise ValueError(
+                f"ridge for {target!r} with l2=0 is singular: the one-hot "
+                f"columns of {cats[0]!r} sum to the bias; use l2 > 0")
         theta = np.linalg.solve(fmat + reg, c)
     elif method == "gd":
         a = fmat / n + reg / n

@@ -3,8 +3,8 @@
 Ridge regression plus Gaussian noise on predictions: ``f(x) = θᵀx + ε`` with
 ``ε ~ N(0, σ²)`` and ``σ²`` the residual variance computed from the same
 cofactor triple used for training. The noise is generated inside Spark SQL
-with the Box–Muller transform over two ``rand`` streams — exactly the SQL
-the paper executes:
+with the Box–Muller transform over two ``rand`` streams, rendered as the
+SQL the paper executes:
 
     ε = sqrt(-2 ln U₁) · cos(2π U₂) · σ
 """
@@ -16,7 +16,7 @@ from pyspark.sql import Column
 from pyspark.sql import functions as F
 
 from repro.ring.triple import Triple
-from .linreg import RidgeModel, train_ridge
+from .linreg import RidgeModel, sql_literal, train_ridge
 
 
 def train_stochastic(triple: Triple, target: str, **kwargs) -> RidgeModel:
@@ -24,19 +24,30 @@ def train_stochastic(triple: Triple, target: str, **kwargs) -> RidgeModel:
     return train_ridge(triple, target, **kwargs)
 
 
-def box_muller_expr(sigma: float, seed: int) -> Column:
-    """N(0, sigma²) sample per row as a Catalyst expression.
+def box_muller_sql(sigma: float, seed: int) -> str:
+    """N(0, sigma²) sample per row as Spark SQL.
 
     ``1 - rand`` keeps U₁ in (0, 1] so the log never sees 0.
     """
-    u1 = F.lit(1.0) - F.rand(seed)
-    u2 = F.rand(seed + 1_000_003)
-    return F.sqrt(F.lit(-2.0) * F.log(u1)) * F.cos(F.lit(2.0 * math.pi) * u2) * F.lit(sigma)
+    u1 = f"1.0D - rand({seed}L)"
+    u2 = f"rand({seed + 1_000_003}L)"
+    return (f"sqrt({sql_literal(-2.0)} * ln({u1})) * "
+            f"cos({sql_literal(2.0 * math.pi)} * {u2}) * {sql_literal(sigma)}")
+
+
+def box_muller_expr(sigma: float, seed: int) -> Column:
+    """``box_muller_sql`` as a Catalyst expression."""
+    return F.expr(box_muller_sql(sigma, seed))
+
+
+def predict_stochastic_sql(model: RidgeModel, seed: int, noise: bool = True) -> str:
+    """θᵀx (+ Box–Muller noise) as one Spark SQL expression."""
+    sql = model.predict_sql()
+    if noise and model.sigma2 > 0:
+        sql = f"({sql}) + ({box_muller_sql(math.sqrt(model.sigma2), seed)})"
+    return sql
 
 
 def predict_stochastic_expr(model: RidgeModel, seed: int, noise: bool = True) -> Column:
-    """θᵀx (+ Box–Muller noise) as a single Spark projection."""
-    expr = model.predict_expr()
-    if noise and model.sigma2 > 0:
-        expr = expr + box_muller_expr(math.sqrt(model.sigma2), seed)
-    return expr
+    """``predict_stochastic_sql`` as a single Spark projection's expression."""
+    return F.expr(predict_stochastic_sql(model, seed, noise))

@@ -69,6 +69,15 @@ def scan_partials(df: DataFrame, cols: list[str], where: list[Column] | None,
     Python task costs tens of milliseconds to start and feed, against a few
     milliseconds of lifting per 10k rows, so the scan runs one task per core
     rather than one per input partition (a no-op for narrower inputs).
+
+    The partials come back sorted by their pickled bytes, not in task
+    order. Which task a coalesce hands an input partition to varies between
+    jobs over the same frame (it follows where, by the scheduler's possibly
+    stale record, the input's blocks are cached), and callers fold the
+    partials in list order, so the last bits of each sum would vary with
+    it. In a canonical order, two scans of a frame of at most
+    ``defaultParallelism`` partitions (every MICE frame), whose tasks each
+    read one partition, give bit-identical sums.
     """
     dp = df.sparkSession.sparkContext.defaultParallelism
     preds = where if where is not None else [None]
@@ -87,7 +96,7 @@ def scan_partials(df: DataFrame, cols: list[str], where: list[Column] | None,
     proj = df.select(*cols, *[F.coalesce(p, F.lit(False)).alias(f)
                               for p, f in zip(preds, flags) if f is not None])
     rows = proj.coalesce(dp).mapInPandas(partials, "t binary").collect()
-    return [pickle.loads(r.t) for r in rows]
+    return [pickle.loads(t) for t in sorted(r.t for r in rows)]
 
 
 def cofactor_sql(df: DataFrame, schema: AttrSchema,

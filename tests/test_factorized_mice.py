@@ -100,6 +100,30 @@ class TestFactorizedMice:
         mean_rmse = np.sqrt(((src["inventoryunits"].mean() - truth) ** 2).mean())
         assert rmse < 0.9 * mean_rmse
 
+    def test_lazy_updates_match_checkpointed_updates(self, spark, rt,
+                                                     monkeypatch):
+        """With noise on and two iterations, the lazy enriched updates give
+        the output that checkpointing each update as it is made gives: the
+        broadcast joins keep the fact's partitions and row order, so every
+        recomputation draws the same noise."""
+        import repro.mice.low as low_mod
+
+        ds = rt["ds"]
+        masked, _ = inject_missing(ds.tables["inventory"], ["inventoryunits"],
+                                   0.2, "MCAR", seed=6)
+        fact = spark.createDataFrame(masked).localCheckpoint(eager=True)
+
+        def run():
+            res = mice_low(fact, ds.schema, ["inventoryunits"], plan=rt["plan"],
+                           iters=2, noise=True, seed=4)
+            return res.df.orderBy("__rid").toPandas()
+
+        lazy = run()
+        update = low_mod.apply_imputation
+        monkeypatch.setattr(low_mod, "apply_imputation", lambda *a, **k: update(
+            *a, **k).localCheckpoint(eager=True))
+        assert lazy.equals(run())
+
     def test_non_fact_attribute_rejected(self, spark, rt):
         with pytest.raises(ValueError, match="fact attribute"):
             mice_low(rt["fact"], rt["ds"].schema, ["population"], plan=rt["plan"])

@@ -8,6 +8,8 @@ The central correctness claims:
 * the shared-computation invariant C − ΔC == cofactor(observed) holds on the
   partitioned data mid-run.
 """
+import itertools
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -249,6 +251,49 @@ class TestNoiseEquivalence:
             assert (out[v]["diverted"] == base["diverted"]).all(), v
 
 
+@pytest.fixture(scope="module")
+def wide(spark, data):
+    """The ``three`` data as checkpointed by the table jobs, with twice as
+    many partitions as cores (as a large Arrow input has, one per batch)."""
+    pdf, _ = inject_missing(data["truth"], THREE, 0.2, "MCAR", seed=2)
+    half = len(pdf) // 2
+    sdf = (spark.createDataFrame(pdf.iloc[:half])
+           .union(spark.createDataFrame(pdf.iloc[half:]))
+           .localCheckpoint(eager=True))
+    assert sdf.rdd.getNumPartitions() == 2 * spark.sparkContext.defaultParallelism
+    return sdf
+
+
+class TestWideInput:
+    def test_variants_match_baseline_with_noise(self, wide, data):
+        """A checkpointed input of more partitions than cores: each variant
+        keeps its partitions in order, so noise is identical too."""
+        out = {
+            v: collect_sorted(run_mice(wide, data["ds"].schema, THREE, variant=v,
+                                       iters=2, noise=True, seed=7))
+            for v in ("baseline", "low", "high")
+        }
+        base = out["baseline"]
+        assert len(base) == data["truth"].shape[0]
+        for v in ("low", "high"):
+            assert out[v]["__rid"].equals(base["__rid"])
+            for a in ("airtime", "arr_delay"):
+                np.testing.assert_allclose(
+                    out[v][a].to_numpy(), base[a].to_numpy(), rtol=1e-6,
+                    err_msg=f"{v} diverges from baseline on {a}",
+                )
+            assert (out[v]["diverted"] == base["diverted"]).all(), v
+
+    def test_prepare_keeps_partitions_in_two_jobs(self, spark, wide, data):
+        from repro.mice import prepare
+
+        box = {}
+        jobs = spark_jobs(spark, lambda: box.setdefault(
+            "prep", prepare(wide, data["ds"].schema, THREE)))
+        assert jobs == 2
+        assert box["prep"].df.rdd.getNumPartitions() == wide.rdd.getNumPartitions()
+
+
 class TestEmptyTrainingSet:
     @pytest.mark.parametrize("variant", ["low", "high"])
     def test_no_model_leaves_cofactor_unchanged(self, monkeypatch, three, data,
@@ -320,3 +365,61 @@ class TestActionsPerRound:
         sc._jsc.sc().listenerBus().waitUntilEmpty()
         assert 0 < len(sc.statusTracker().getJobIdsForGroup(group)) <= 3
         assert parts.count_of("complete") + parts.count_of("missing") == three.count()
+
+
+_GROUPS = itertools.count()
+
+
+def spark_jobs(spark, fn) -> int:
+    """Spark jobs that ``fn()`` runs, counted under a job group of its own."""
+    sc = spark.sparkContext
+    group = f"test-jobs-{next(_GROUPS)}"
+    sc.setJobGroup(group, "counted")
+    try:
+        fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+class TestLazyUpdates:
+    def test_scans_of_a_lazy_frame_are_identical(self, three, data):
+        """Stacked noise-on updates stay a lazy projection of ``missing``;
+        each scan recomputes it, and two scans give bit-identical triples."""
+        from repro.mice import partition, prepare
+        from repro.mice.step import apply_imputation, fit
+
+        schema = data["ds"].schema
+        prep = prepare(three, schema, THREE)
+        parts = partition(prep, mode="low")
+        c = cofactor_ring(parts.union_all(), schema)
+        lazy = parts.missing
+        for seed, attr in enumerate(THREE):
+            lazy = apply_imputation(lazy, fit(c, attr, prep), attr, prep,
+                                    seed=seed, noise=True)
+        where = [F.col(mask_col(a)) for a in THREE]
+        first, second = (cofactor_ring(lazy, schema, where=where) for _ in range(2))
+        before = cofactor_ring(parts.missing, schema, where=where)
+        for a, t1, t2, t0 in zip(THREE, first, second, before):
+            assert (t1.n, t1.s, t1.q) == (t2.n, t2.s, t2.q), a
+            if not schema.is_cat(a):  # the noisy imputations did land
+                assert t1.s[schema.index(a)] != t0.s[schema.index(a)], a
+
+
+class TestJobsPerRound:
+    #: prepare (aggregate, checkpoint) + partition (two checkpoints) + one
+    #: scan per step; Baseline has no partition
+    BOUND = {"low": 7, "high": 7, "baseline": 5}
+
+    @pytest.mark.parametrize("variant", ["low", "high", "baseline"])
+    def test_one_job_per_step(self, spark, three, data, variant):
+        """An attribute step costs its scan and nothing else: the update is
+        lazy, and the checkpoint between iterations is materialized by the
+        next scan, so each iteration adds the same ``m`` jobs."""
+        jobs = [spark_jobs(spark, lambda: run_mice(
+                    three, data["ds"].schema, THREE, variant=variant,
+                    iters=iters, noise=True, seed=3))
+                for iters in (1, 2, 3)]
+        assert jobs[0] <= self.BOUND[variant], jobs
+        assert jobs[1] - jobs[0] == jobs[2] - jobs[1] == len(THREE), jobs

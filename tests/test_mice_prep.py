@@ -84,6 +84,33 @@ class TestPrepare:
             prepare(sdf, ds.schema, ds.incomplete)
 
 
+    @pytest.mark.parametrize("values,mode", [
+        ([2, 2, 1, 1, 3, None], 1),
+        (["b", "b", "a", "a", "c", None], "a"),
+    ])
+    def test_mode_takes_lowest_value_on_tie(self, spark, values, mode):
+        """A tie between the most frequent categories goes to the lowest."""
+        from repro.ring import AttrSchema
+
+        schema = AttrSchema.of(continuous=["x"], categorical=["g"])
+        pdf = pd.DataFrame({"x": np.arange(len(values), dtype=float), "g": values})
+        prep = prepare(spark.createDataFrame(pdf), schema, ["g"])
+        assert prep.init_values == {"g": mode}
+        assert prep.categories["g"] == sorted(v for v in set(values) if v is not None)
+
+    def test_prepare_jobs(self, spark, masked):
+        """One aggregate for every statistic, plus the checkpoint."""
+        ds = masked["ds"]
+        sc = spark.sparkContext
+        sc.setJobGroup("test-prepare", "prepare")
+        try:
+            prepare(masked["sdf"], ds.schema, ds.incomplete)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        assert len(sc.statusTracker().getJobIdsForGroup("test-prepare")) == 2
+
+
 class TestPartition:
     @pytest.fixture(scope="class", params=["low", "high"])
     def parts(self, request, prepped):

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.ring import AttrSchema, lift_block
+from repro.models.linreg import linear_sql, sql_ident, sql_literal
 from repro.models import (
     predict_stochastic_expr,
     train_lda,
@@ -83,6 +85,13 @@ class TestRidge:
         pred = m.predict_np(pdf)
         rmse = np.sqrt(((pred - pdf["y"]) ** 2).mean())
         assert rmse < 0.2  # group offsets captured via indicators
+
+    def test_l2_zero_with_categorical_feature_rejected(self):
+        """The one-hot columns of ``g`` sum to the bias column, so the
+        unregularized system is singular by construction."""
+        t = lift_block(mixed_block(), SMIX)
+        with pytest.raises(ValueError, match="'y' with l2=0 .* of 'g'"):
+            train_ridge(t, "y", l2=0.0)
 
     def test_target_must_be_continuous(self):
         with pytest.raises(ValueError, match="categorical"):
@@ -236,3 +245,33 @@ class TestLDA:
         m2 = train_lda(lift_block(pdf.iloc[200:], SMIX), "lbl", categories=cats)
         np.testing.assert_allclose(m1.a, m2.a, rtol=1e-6, atol=1e-8)
         np.testing.assert_allclose(m1.b, m2.b, rtol=1e-6, atol=1e-8)
+
+
+class TestSqlLiterals:
+    VALUES = [0.1, -0.0, 0.0, 1 / 3, -math.pi, 1e-300, 5e-324, -2.5e-8,
+              1.7976931348623157e308, 123456789.123, np.float64(0.7),
+              0, -5, 2**31 - 1, 2**31, -(2**40), np.int64(7),
+              True, False, np.bool_(True),
+              "plain", "it's", "back\\slash", "\\'", "new\nline", "ünï"]
+
+    def test_round_trip_through_spark_sql(self, spark):
+        sql = ", ".join(f"{sql_literal(v)} AS c{k}" for k, v in enumerate(self.VALUES))
+        row = spark.sql(f"SELECT {sql}").collect()[0]
+        for k, v in enumerate(self.VALUES):
+            want = v.item() if isinstance(v, np.generic) else v
+            got = row[f"c{k}"]
+            assert type(got) is type(want) and got == want, (v, got)
+            if isinstance(want, float):
+                assert math.copysign(1.0, got) == math.copysign(1.0, want), v
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            sql_literal(bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            linear_sql(SCONT, [(0, None)], [bad], 1.0)
+
+    def test_backtick_in_column_name(self, spark):
+        sdf = spark.createDataFrame(pd.DataFrame({"a`b": [1.5, -2.0]}))
+        got = sdf.select(F.expr(f"2.0D * {sql_ident('a`b')}").alias("p")).toPandas()
+        assert got["p"].tolist() == [3.0, -4.0]

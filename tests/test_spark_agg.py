@@ -207,7 +207,8 @@ class TestWhere:
 
     def test_without_where_unchanged(self, spark, li, ring_triple):
         """Without ``where``, the triple is bit-identical to the single-triple
-        pass as it was before ``where`` existed (frozen here)."""
+        pass as it was before ``where`` existed (frozen here), its task
+        partials folded in the scan's order: sorted by their pickled bytes."""
         import pickle
 
         from repro.ring.triple import triple_sum
@@ -216,12 +217,13 @@ class TestWhere:
             acc = Triple.zero(LI_SCHEMA)
             for b in batches:
                 acc = acc + lift_block(b, LI_SCHEMA, LI_SCHEMA.names)
-            yield pd.DataFrame({"t": [pickle.dumps(acc)]})
+            yield pd.DataFrame({"t": [pickle.dumps([acc])]})
 
         dp = spark.sparkContext.defaultParallelism
         rows = (li.select(*LI_SCHEMA.names).coalesce(dp)
                 .mapInPandas(partials, "t binary").collect())
-        want = triple_sum((pickle.loads(r.t) for r in rows), LI_SCHEMA)
+        want = triple_sum((pickle.loads(t)[0] for t in sorted(r.t for r in rows)),
+                          LI_SCHEMA)
         assert isinstance(ring_triple, Triple)
         assert (ring_triple.n, ring_triple.s, ring_triple.q) == (want.n, want.s, want.q)
 
