@@ -70,6 +70,9 @@ def spark() -> SparkSession:
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        # PySpark reads this once per process; on, the first Column call
+        # captures its call site and imports IPython to look for a notebook
+        .config("spark.python.sql.dataFrameDebugging.enabled", "false")
         .getOrCreate()
     )
     # One line in test_output.txt that tells the driver whether the
@@ -83,3 +86,12 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture
+def distributed_scan(monkeypatch):
+    """Fold every cofactor scan in ``mapInPandas`` tasks, however small its
+    frame (``repro.ring.spark_agg.LOCAL_SCAN_BYTES``)."""
+    from repro.ring import spark_agg
+
+    monkeypatch.setattr(spark_agg, "LOCAL_SCAN_BYTES", -1)

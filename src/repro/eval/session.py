@@ -26,5 +26,8 @@ def get_spark(app: str) -> SparkSession:
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.driver.host", "127.0.0.1")
         .config("spark.ui.enabled", "false")
+        # PySpark reads this once per process; on, the first Column call
+        # captures its call site and imports IPython to look for a notebook
+        .config("spark.python.sql.dataFrameDebugging.enabled", "false")
         .getOrCreate()
     )

@@ -1,6 +1,6 @@
 """In-database-style models trained from cofactor Triples."""
 from .linreg import RidgeModel, train_ridge
-from .stochastic import box_muller_expr, predict_stochastic_expr, train_stochastic
+from .stochastic import predict_stochastic_expr, train_stochastic
 from .lda import LDAModel, train_lda
 
 __all__ = [
@@ -8,7 +8,6 @@ __all__ = [
     "train_ridge",
     "train_stochastic",
     "predict_stochastic_expr",
-    "box_muller_expr",
     "LDAModel",
     "train_lda",
 ]

@@ -81,12 +81,6 @@ def linear_sql(schema: AttrSchema, features: list[tuple[int, Any]],
     return " + ".join(terms)
 
 
-def linear_expr(schema: AttrSchema, features: list[tuple[int, Any]],
-                weights, offset: float) -> Column:
-    """``linear_sql`` as a Catalyst expression."""
-    return F.expr(linear_sql(schema, features, weights, offset))
-
-
 @dataclass
 class RidgeModel:
     """Linear model over the one-hot feature space of ``schema`` minus ``target``.

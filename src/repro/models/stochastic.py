@@ -35,11 +35,6 @@ def box_muller_sql(sigma: float, seed: int) -> str:
             f"cos({sql_literal(2.0 * math.pi)} * {u2}) * {sql_literal(sigma)}")
 
 
-def box_muller_expr(sigma: float, seed: int) -> Column:
-    """``box_muller_sql`` as a Catalyst expression."""
-    return F.expr(box_muller_sql(sigma, seed))
-
-
 def predict_stochastic_sql(model: RidgeModel, seed: int, noise: bool = True) -> str:
     """θᵀx (+ Box–Muller noise) as one Spark SQL expression."""
     sql = model.predict_sql()

@@ -10,10 +10,11 @@ comparison:
   write without a custom aggregate, and it is the slow path the ring beats.
 
 * ``cofactor_ring`` — the paper's ``SUM_TRIPLE``: a single pass that lifts
-  whole Arrow batches to partial ``Triple`` values (``mapInPandas``) and
-  merges them with ring addition. One Spark job, one scan, no one-hot, and
-  at most one Python task per core; ``where=`` returns the triples of
-  several row subsets from that same job.
+  whole Arrow batches to partial ``Triple`` values and merges them with ring
+  addition. One Spark job, one scan, no one-hot: a small frame is collected
+  through Arrow and folded on the driver, a larger one in at most one
+  ``mapInPandas`` task per core; ``where=`` returns the triples of several
+  row subsets from that same job.
 
 Both return the same ``Triple`` (tests assert bitwise-close equality and
 check individual aggregates against the DuckDB oracle).
@@ -21,7 +22,7 @@ check individual aggregates against the DuckDB oracle).
 from __future__ import annotations
 
 import pickle
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import pandas as pd
 from pyspark.sql import Column, DataFrame
@@ -34,12 +35,13 @@ from .triple import Rel, Triple, lift_block, triple_sum, _py
 def cofactor_ring(df: DataFrame, schema: AttrSchema,
                   attrs: list[str] | None = None, *,
                   where: list[Column] | None = None) -> Triple | list[Triple]:
-    """Compute the cofactor Triple in one distributed pass.
+    """Compute the cofactor Triple in one pass.
 
-    Each task folds its Arrow batches through the bulk lift ``λ`` and emits a
-    single pickled partial triple; the driver combines partials with ring
-    ``+`` (the UDAF merge step). ``attrs`` restricts to a subset of the
-    global schema (factorized evaluation lifts per-table subsets).
+    Each task, or the driver for a small frame (``scan_partials``), folds
+    Arrow batches through the bulk lift ``λ`` to one partial triple; the
+    driver combines partials with ring ``+`` (the UDAF merge step).
+    ``attrs`` restricts to a subset of the global schema (factorized
+    evaluation lifts per-table subsets).
 
     ``where`` takes boolean Columns (a null counts as false) and returns one
     Triple per predicate, the cofactor of the rows it selects, all from the
@@ -54,47 +56,76 @@ def cofactor_ring(df: DataFrame, schema: AttrSchema,
     return out if where is not None else out[0]
 
 
+#: Largest projected frame, by Spark's optimizer bound in bytes, that a scan
+#: collects to the driver and folds there instead of in Python tasks. Every
+#: ``mapInPandas`` job pays a fixed Python-task floor (~0.3 s on a 4-core
+#: box) for a few milliseconds of lifting per 10k rows; the driver path is a
+#: JVM Arrow collect. The bound caps the driver memory that path costs, the
+#: collected Arrow table (+125 MB of driver peak at 1M rows of 14 numeric
+#: columns), not its time: the driver fold kept level with four tasks up to
+#: 1M such rows (EXPERIMENTS.md, Limits §1).
+LOCAL_SCAN_BYTES = 64 << 20
+
+
 def scan_partials(df: DataFrame, cols: list[str], where: list[Column] | None,
                   lift: Callable[[pd.DataFrame], Any],
                   zero: Callable[[], Any]) -> list[list]:
-    """One ``mapInPandas`` job summing ``lift`` over the rows of ``df``.
+    """One Spark job summing ``lift`` over the rows of ``df``.
 
-    Each task adds ``lift(batch)`` over its Arrow batches of ``df[cols]``,
+    ``fold`` adds ``lift(batch)`` over pandas batches of ``df[cols]``,
     starting from ``zero()``, and returns one partial per predicate of
     ``where`` (the predicates are projected as flag columns, and each batch
     is lifted once per flag), or a single whole-batch partial without
-    ``where``. The result holds each task's list of partials.
+    ``where``. The result holds a list of such partials per fold.
 
-    The input is coalesced to ``defaultParallelism`` partitions first: each
-    Python task costs tens of milliseconds to start and feed, against a few
-    milliseconds of lifting per 10k rows, so the scan runs one task per core
-    rather than one per input partition (a no-op for narrower inputs).
+    A small frame — one Spark's optimizer bounds at or below
+    ``LOCAL_SCAN_BYTES`` — is collected with one Arrow collect (a JVM job, no
+    Python worker) and folded on the driver over consecutive slices of
+    ``spark.sql.execution.arrow.maxRecordsPerBatch`` rows, in partition
+    order. So two scans of a frame fold in the same order, and on a
+    one-partition frame the slices are the batches a task would see. A frame
+    whose size Spark does not know (``spark.sql.defaultSizeInBytes``), or
+    larger, is folded in ``mapInPandas`` tasks, one partial each.
 
-    The partials come back sorted by their pickled bytes, not in task
-    order. Which task a coalesce hands an input partition to varies between
-    jobs over the same frame (it follows where, by the scheduler's possibly
-    stale record, the input's blocks are cached), and callers fold the
-    partials in list order, so the last bits of each sum would vary with
-    it. In a canonical order, two scans of a frame of at most
-    ``defaultParallelism`` partitions (every MICE frame), whose tasks each
-    read one partition, give bit-identical sums.
+    The task path coalesces its input to ``defaultParallelism`` partitions
+    first: each Python task costs tens of milliseconds to start and feed,
+    against a few milliseconds of lifting per 10k rows, so the scan runs
+    one task per core rather than one per input partition (a no-op for
+    narrower inputs). Its partials come back sorted by their pickled bytes,
+    not in task order. Which task a coalesce hands an input partition to
+    varies between jobs over the same frame (it follows where, by the
+    scheduler's possibly stale record, the input's blocks are cached), and
+    callers fold the partials in list order, so the last bits of each sum
+    would vary with it. In a canonical order, two scans of a frame of at
+    most ``defaultParallelism`` partitions, whose tasks each read one
+    partition, give bit-identical sums.
     """
-    dp = df.sparkSession.sparkContext.defaultParallelism
+    spark = df.sparkSession
     preds = where if where is not None else [None]
     # a None flag lifts the whole batch (the call without ``where``); the
     # closure holds flag names only, as Columns do not pickle
     flags = [None if p is None else f"__where_{k}" for k, p in enumerate(preds)]
 
-    def partials(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def fold(batches: Iterable[pd.DataFrame]) -> list:
         accs = [zero() for _ in flags]
         for b in batches:
             for k, flag in enumerate(flags):
                 sel = b if flag is None else b[b[flag]]
                 accs[k] = accs[k] + lift(sel)
-        yield pd.DataFrame({"t": [pickle.dumps(accs)]})
+        return accs
+
+    def partials(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        yield pd.DataFrame({"t": [pickle.dumps(fold(batches))]})
 
     proj = df.select(*cols, *[F.coalesce(p, F.lit(False)).alias(f)
                               for p, f in zip(preds, flags) if f is not None])
+    if proj._jdf.queryExecution().optimizedPlan().stats().sizeInBytes() <= LOCAL_SCAN_BYTES:
+        table = proj.toArrow()
+        step = int(spark.conf.get("spark.sql.execution.arrow.maxRecordsPerBatch"))
+        step = step if step > 0 else max(table.num_rows, 1)  # <= 0: no limit
+        return [fold(table.slice(i, step).to_pandas()
+                     for i in range(0, table.num_rows, step))]
+    dp = spark.sparkContext.defaultParallelism
     rows = proj.coalesce(dp).mapInPandas(partials, "t binary").collect()
     return [pickle.loads(t) for t in sorted(r.t for r in rows)]
 

@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.ring import AttrSchema, cofactor_ring
+from repro.ring import AttrSchema, cofactor_ring, spark_agg
 from repro.ring.factorized import (
     Dim, _design, _groups, _moments, _ring_mul, join_tree_cofactor,
 )
@@ -214,7 +214,7 @@ class TestFailLoudly:
             join_tree_cofactor(star["schema"], {"c": ["u", "v"]}, ["x"],
                                fold=[Dim(star["d1"], ["k1"], ["a", "c"])])
 
-    def test_category_outside_domain_in_fact(self, spark, star):
+    def test_category_outside_domain_in_fact(self, spark, star, distributed_scan):
         """Fact rows are checked inside the scan task; the job fails with the
         task's ValueError."""
         fact = spark.createDataFrame(pd.DataFrame(
@@ -223,7 +223,7 @@ class TestFailLoudly:
         with pytest.raises(Exception, match="ValueError: 'c' holds values outside"):
             cofactor(fact)
 
-    def test_nan_rejected(self, spark, star):
+    def test_nan_rejected(self, spark, star, distributed_scan):
         with pytest.raises(ValueError, match="NaN in lifted column 'x'"):
             _design(pd.DataFrame({"x": [1.0, np.nan]}), star["schema"], CATS, ["x"])
         d1 = star["d1"].copy()
@@ -248,3 +248,63 @@ class TestFailLoudly:
         with pytest.raises(ValueError, match="not unique"):
             join_tree_cofactor(star["schema"], CATS, ["x"],
                                fold=[Dim(d2, ["k2"], ["b"])])
+
+
+@pytest.fixture(scope="module")
+def rt(spark):
+    """Retailer at 25k fact rows (two full Arrow batches and a partial one)
+    and its factorized plan."""
+    from repro.datasets import retailer
+    from repro.datasets.plans import retailer_plan
+
+    ds = retailer.generate(sf=0.025, seed=5)
+    fact = spark.createDataFrame(ds.tables["inventory"])
+    return dict(plan=retailer_plan(spark, ds),
+                one=fact.coalesce(1).localCheckpoint(eager=True),
+                wide=fact.repartition(50).localCheckpoint(eager=True))
+
+
+class TestDriverFold:
+    """A fact under ``LOCAL_SCAN_BYTES`` is folded on the driver, through
+    the same ``lift`` and with the same result as in tasks."""
+
+    @staticmethod
+    def preds():
+        return [F.col("inventoryunits") > 100, F.col("ksn") % 3 == 0]
+
+    @staticmethod
+    def both_paths(cofactor, fact, where=None):
+        driver = cofactor(fact, where=where)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spark_agg, "LOCAL_SCAN_BYTES", -1)
+            tasks = cofactor(fact, where=where)
+        return ([driver], [tasks]) if where is None else (driver, tasks)
+
+    @pytest.mark.parametrize("with_where", [False, True])
+    def test_one_partition_bit_identical(self, rt, with_where):
+        driver, tasks = self.both_paths(rt["plan"].cofactor, rt["one"],
+                                        self.preds() if with_where else None)
+        for a, b in zip(driver, tasks):
+            assert (a.n, a.s, a.q) == (b.n, b.s, b.q)
+
+    @pytest.mark.parametrize("with_where", [False, True])
+    def test_fifty_partitions_close(self, rt, with_where):
+        driver, tasks = self.both_paths(rt["plan"].cofactor, rt["wide"],
+                                        self.preds() if with_where else None)
+        for a, b in zip(driver, tasks):
+            assert a.n == b.n
+            assert a.allclose(b, rtol=1e-9, atol=1e-6)
+
+    def test_category_outside_domain_raises_on_driver(self, spark, star):
+        fact = spark.createDataFrame(pd.DataFrame(
+            {"k1": [0, 1], "x": [1.0, 2.0], "c": ["u", "z"]}))
+        cofactor = join_tree_cofactor(star["schema"], CATS, ["x", "c"])
+        with pytest.raises(ValueError, match="'c' holds values outside"):
+            cofactor(fact)
+
+    def test_nan_raises_on_driver(self, spark, star):
+        fact = star["fact"].copy()
+        fact.loc[::7, "x"] = np.nan
+        cofactor = join_tree_cofactor(star["schema"], CATS, ["x"])
+        with pytest.raises(ValueError, match="NaN in lifted column 'x'"):
+            cofactor(spark.createDataFrame(fact))

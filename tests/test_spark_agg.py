@@ -8,7 +8,7 @@ import pandas as pd
 import pytest
 
 from repro.oracle import assert_equivalent
-from repro.ring import AttrSchema, cofactor_ring, cofactor_sql, lift_block
+from repro.ring import AttrSchema, cofactor_ring, cofactor_sql, lift_block, spark_agg
 from repro.ring.triple import Triple
 from repro import synth_data
 
@@ -114,7 +114,7 @@ class TestSubsetsAndPartitions:
         t8 = cofactor_ring(li.repartition(8), LI_SCHEMA)
         assert t8.allclose(ring_triple, rtol=1e-9, atol=1e-4)
 
-    def test_task_cap(self, spark, li, ring_triple):
+    def test_task_cap(self, spark, li, ring_triple, distributed_scan):
         """A 50-partition input is lifted in at most one Python task per core."""
         sc = spark.sparkContext
         wide = li.repartition(50).localCheckpoint(eager=True)
@@ -156,6 +156,8 @@ class TestSubsetsAndPartitions:
 class TestWhere:
     """``cofactor_ring(where=)``: one triple per predicate from one job."""
 
+    GROUP = "test-where"
+
     @pytest.fixture(scope="class")
     def preds(self):
         from pyspark.sql import functions as F
@@ -166,7 +168,7 @@ class TestWhere:
     @pytest.fixture(scope="class")
     def fused(self, spark, li, preds):
         sc = spark.sparkContext
-        sc.setJobGroup("test-where", "cofactor_ring with where=")
+        sc.setJobGroup(self.GROUP, "cofactor_ring with where=")
         try:
             out = cofactor_ring(li, LI_SCHEMA, where=preds)
         finally:
@@ -203,15 +205,17 @@ class TestWhere:
     def test_one_job(self, spark, fused):
         sc = spark.sparkContext
         sc._jsc.sc().listenerBus().waitUntilEmpty()
-        assert len(sc.statusTracker().getJobIdsForGroup("test-where")) == 1
+        assert len(sc.statusTracker().getJobIdsForGroup(self.GROUP)) == 1
 
-    def test_without_where_unchanged(self, spark, li, ring_triple):
+    def test_without_where_unchanged(self, spark, li, distributed_scan):
         """Without ``where``, the triple is bit-identical to the single-triple
         pass as it was before ``where`` existed (frozen here), its task
         partials folded in the scan's order: sorted by their pickled bytes."""
         import pickle
 
         from repro.ring.triple import triple_sum
+
+        ring_triple = cofactor_ring(li, LI_SCHEMA)
 
         def partials(batches):
             acc = Triple.zero(LI_SCHEMA)
@@ -226,6 +230,133 @@ class TestWhere:
                           LI_SCHEMA)
         assert isinstance(ring_triple, Triple)
         assert (ring_triple.n, ring_triple.s, ring_triple.q) == (want.n, want.s, want.q)
+
+
+class OnTasks:
+    """Runs a test class with every scan folded in ``mapInPandas`` tasks:
+    ``li`` is far below ``LOCAL_SCAN_BYTES``, so the classes as written
+    test the driver fold."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def _on_tasks(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spark_agg, "LOCAL_SCAN_BYTES", -1)
+            yield
+
+    @pytest.fixture(scope="class")
+    def ring_triple(self, li):
+        return cofactor_ring(li, LI_SCHEMA)
+
+
+class TestAgainstOracleOnTasks(OnTasks, TestAgainstOracle):
+    pass
+
+
+class TestWhereOnTasks(OnTasks, TestWhere):
+    GROUP = "test-where-on-tasks"
+
+
+@pytest.fixture
+def map_in_pandas_calls(monkeypatch, li):
+    """Counts ``DataFrame.mapInPandas`` calls, i.e. scans folded in tasks."""
+    calls = []
+    cls = type(li)
+    real = cls.mapInPandas
+
+    def spy(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "mapInPandas", spy)
+    return calls
+
+
+class TestDriverFold:
+    """A frame under ``LOCAL_SCAN_BYTES`` is collected through Arrow and
+    folded on the driver; the triple is the task fold's."""
+
+    @pytest.fixture(scope="class")
+    def preds(self):
+        from pyspark.sql import functions as F
+
+        return [F.col("l_quantity") <= 30, F.col("l_returnflag") != "N"]
+
+    @staticmethod
+    def both_paths(frame, where=None):
+        driver = cofactor_ring(frame, LI_SCHEMA, where=where)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spark_agg, "LOCAL_SCAN_BYTES", -1)
+            tasks = cofactor_ring(frame, LI_SCHEMA, where=where)
+        return ([driver], [tasks]) if where is None else (driver, tasks)
+
+    @pytest.mark.parametrize("with_where", [False, True])
+    def test_one_partition_bit_identical(self, li, preds, with_where):
+        """One partition: the driver's slices are the task's Arrow batches
+        (12k rows: a full batch and a partial one)."""
+        one = li.coalesce(1).localCheckpoint(eager=True)
+        driver, tasks = self.both_paths(one, preds if with_where else None)
+        for a, b in zip(driver, tasks):
+            assert (a.n, a.s, a.q) == (b.n, b.s, b.q)
+
+    @pytest.mark.parametrize("with_where", [False, True])
+    def test_fifty_partitions_close(self, li, preds, with_where):
+        wide = li.repartition(50).localCheckpoint(eager=True)
+        driver, tasks = self.both_paths(wide, preds if with_where else None)
+        for a, b in zip(driver, tasks):
+            assert a.n == b.n
+            assert a.allclose(b, rtol=1e-9, atol=1e-5)
+
+    def test_small_frame_runs_no_python_task(self, li, map_in_pandas_calls):
+        cofactor_ring(li, LI_SCHEMA)
+        assert map_in_pandas_calls == []
+
+    def test_frame_over_the_bound_runs_tasks(self, monkeypatch, li,
+                                             map_in_pandas_calls):
+        monkeypatch.setattr(spark_agg, "LOCAL_SCAN_BYTES", 0)
+        cofactor_ring(li, LI_SCHEMA)
+        assert map_in_pandas_calls == [1]
+
+    def test_frame_of_unknown_size_runs_tasks(self, spark, li, map_in_pandas_calls):
+        """Spark knows no size for a frame built from an RDD
+        (``spark.sql.defaultSizeInBytes``)."""
+        cofactor_ring(spark.createDataFrame(li.rdd, li.schema), LI_SCHEMA)
+        assert map_in_pandas_calls == [1]
+
+    def test_scans_of_a_lazy_noisy_frame_are_identical(self, spark, li,
+                                                       map_in_pandas_calls):
+        """Two driver scans of a MICE ``missing`` frame under stacked
+        noise-on updates (a lazy projection over a 3-partition checkpoint)
+        fold in one order."""
+        from pyspark.sql import functions as F
+
+        from repro.datasets import inject_missing
+        from repro.mice import partition, prepare
+        from repro.mice.prep import mask_col
+        from repro.mice.step import apply_imputation, fit
+
+        inc = ["l_quantity", "l_discount"]
+        pdf, _ = inject_missing(li.select(*LI_SCHEMA.names).toPandas(), inc,
+                                0.2, "MCAR", seed=3)
+        df = spark.createDataFrame(pdf).repartition(3).localCheckpoint(eager=True)
+        prep = prepare(df, LI_SCHEMA, inc)
+        parts = partition(prep, mode="low")
+        c = cofactor_ring(parts.union_all(), LI_SCHEMA)
+        lazy = parts.missing
+        for seed, attr in enumerate(inc):
+            lazy = apply_imputation(lazy, fit(c, attr, prep), attr, prep,
+                                    seed=seed, noise=True)
+        where = [F.col(mask_col(a)) for a in inc]
+        first, second = (cofactor_ring(lazy, LI_SCHEMA, where=where) for _ in range(2))
+        for t1, t2 in zip(first, second):
+            assert (t1.n, t1.s, t1.q) == (t2.n, t2.s, t2.q)
+        assert map_in_pandas_calls == []
+
+    def test_empty_frame_is_zero(self, li, preds, map_in_pandas_calls):
+        empty = li.limit(0)
+        assert cofactor_ring(empty, LI_SCHEMA) == Triple.zero(LI_SCHEMA)
+        assert cofactor_ring(empty, LI_SCHEMA, where=preds) == [
+            Triple.zero(LI_SCHEMA)] * len(preds)
+        assert map_in_pandas_calls == []
 
 
 class TestContOnly:
