@@ -5,6 +5,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.ring.schema import AttrSchema
+from repro.sql import select_sql, sql_ident, sql_literal
 
 
 def impute_mean_mode(df: DataFrame, schema: AttrSchema,
@@ -25,7 +26,7 @@ def impute_mean_mode(df: DataFrame, schema: AttrSchema,
             )
             if mode:
                 fill[a] = mode[0][a]
-    out = df
-    for a, v in fill.items():
-        out = out.withColumn(a, F.coalesce(F.col(a), F.lit(v)))
-    return out
+    # one projection, sent as one SQL string (``select_sql``)
+    q = sql_ident
+    return select_sql(df, [f"coalesce({q(c)}, {sql_literal(fill[c])}) AS {q(c)}"
+                           if c in fill else q(c) for c in df.columns])

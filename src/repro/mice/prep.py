@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.ring.factorized import FactorizedPlan
 from repro.ring.schema import AttrSchema
+from repro.sql import select_sql, sql_ident, sql_literal
 
 MASK_PREFIX = "__miss_"
 RID = "__rid"
@@ -56,21 +56,24 @@ def prepare(df: DataFrame, schema: AttrSchema, incomplete: list[str],
         if a not in attrs:
             where = "the plan's fact attributes" if plan else "schema"
             raise ValueError(f"incomplete attribute {a!r} not in {where}")
-    out = df
-    # cast continuous analysis attributes to double once, up front
-    for a in attrs:
-        if not schema.is_cat(a):
-            out = out.withColumn(a, F.col(a).cast("double"))
-    out = out.withColumn(RID, F.monotonically_increasing_id())
-    for a in incomplete:
-        out = out.withColumn(mask_col(a), F.col(a).isNull())
+    # one projection: continuous analysis attributes cast to double once, up
+    # front (in place), then the row id and the masks, each replacing a
+    # column of its name as ``withColumn`` would. It, the aggregate and the
+    # fill below are SQL strings (``select_sql``): a plan of them costs the
+    # same few Py4J calls at any width.
+    q = sql_ident
+    exprs = {c: q(c) for c in df.columns}
+    exprs.update({a: f"CAST({q(a)} AS DOUBLE)" for a in attrs if not schema.is_cat(a)})
+    exprs[RID] = "monotonically_increasing_id()"
+    exprs.update({mask_col(a): f"{q(a)} IS NULL" for a in incomplete})
 
     # the input keeps its partitions, in order: the per-partition ``rand``
     # streams of every later update follow them, and each variant must draw
     # the same noise. A coalesce would regroup them by where the scheduler
     # last saw a cached input's blocks, which can differ from one call to
     # the next (cofactor scans cap their own task count in cofactor_ring)
-    raw = out.localCheckpoint(eager=True)
+    raw = select_sql(df, [f"{e} AS {q(c)}" for c, e in exprs.items()]
+                     ).localCheckpoint(eager=True)
 
     # one aggregate: mean (continuous) or mode (categorical, lowest value
     # on a tie) of each incomplete attribute, the null count of every other
@@ -78,11 +81,12 @@ def prepare(df: DataFrame, schema: AttrSchema, incomplete: list[str],
     # checkpoint in one task, so it needs no exchange and runs as one job.
     others = [a for a in attrs if a not in set(incomplete)]
     domains = [] if plan else list(schema.categorical)
-    stats = ([("init", a, F.mode(a, True) if schema.is_cat(a) else F.avg(a))
+    stats = ([("init", a, f"mode({q(a)}, true)" if schema.is_cat(a) else f"avg({q(a)})")
               for a in sorted(incomplete, key=schema.is_cat)]
-             + [("nulls", a, F.sum(F.col(a).isNull().cast("long"))) for a in others]
-             + [("domain", a, F.collect_set(a)) for a in domains])
-    row = raw.coalesce(1).agg(*[c for *_, c in stats]).collect()[0] if stats else ()
+             + [("nulls", a, f"sum(CAST({q(a)} IS NULL AS BIGINT))") for a in others]
+             + [("domain", a, f"collect_set({q(a)})") for a in domains])
+    row = (select_sql(raw.coalesce(1), [e for *_, e in stats]).collect()[0]
+           if stats else ())
     got: dict[str, dict[str, Any]] = {"init": {}, "nulls": {}, "domain": {}}
     for (kind, a, _), v in zip(stats, row):
         got[kind][a] = v
@@ -104,7 +108,7 @@ def prepare(df: DataFrame, schema: AttrSchema, incomplete: list[str],
     categories = plan.categories if plan else {
         a: sorted(v) for a, v in got["domain"].items()}
     # the initial imputation is a lazy projection of the checkpoint
-    filled = raw.select(*[F.coalesce(F.col(c), F.lit(init[c])).alias(c)
-                          if c in init else c for c in raw.columns])
+    filled = select_sql(raw, [f"coalesce({q(c)}, {sql_literal(init[c])}) AS {q(c)}"
+                              if c in init else q(c) for c in exprs])
     return Prepared(df=filled, schema=schema, incomplete=list(incomplete),
                     init_values=init, categories=categories)

@@ -16,9 +16,9 @@ from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.models import train_lda, train_stochastic
-from repro.models.linreg import sql_ident
 from repro.models.stochastic import predict_stochastic_sql
 from repro.ring.triple import Triple
+from repro.sql import sql_ident
 from .prep import Prepared, mask_col
 
 
@@ -54,12 +54,15 @@ def impute_column(model, target: str, prep: Prepared, seed: int,
 def apply_imputation(df: DataFrame, model, target: str, prep: Prepared,
                      seed: int, noise: bool, enrich=None) -> DataFrame:
     """``df`` with the imputed target column (the "column swap"), as one
-    lazy ``select``.
+    lazy projection: a single ``withColumn``, whose Py4J cost does not grow
+    with the frame's width.
 
     ``enrich`` joins on the attributes the model reads that ``df`` lacks (a
     factorized plan's dimension attributes); the projection keeps only
     ``df``'s columns.
     """
-    src = enrich(df) if enrich else df
-    new = impute_column(model, target, prep, seed, noise).alias(target)
-    return src.select(*[new if c == target else c for c in df.columns])
+    new = impute_column(model, target, prep, seed, noise)
+    if enrich is None:
+        return df.withColumn(target, new)
+    return enrich(df).select(*[new.alias(target) if c == target else c
+                               for c in df.columns])

@@ -30,7 +30,9 @@ from pyspark.sql import functions as F
 
 from repro.ring.schema import AttrSchema
 from repro.ring.triple import Triple
-from .linreg import linear_sql, sql_literal
+from repro.sql import sql_literal
+
+from .linreg import linear_sql
 
 
 @dataclass

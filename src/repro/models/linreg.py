@@ -21,7 +21,6 @@ tree from ``F.lit``/``F.col`` objects costs one Py4J round trip per node
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -32,33 +31,7 @@ from pyspark.sql import functions as F
 
 from repro.ring.schema import AttrSchema
 from repro.ring.triple import Triple
-
-
-def sql_literal(v: Any) -> str:
-    """``v`` as a Spark SQL literal that parses back to exactly ``v``: a
-    float as its ``repr`` with the ``D`` (double) suffix, an int, a bool, or
-    a quoted string; negative numbers are parenthesized. A non-finite float
-    has no literal and raises ``ValueError``."""
-    if isinstance(v, np.generic):
-        v = v.item()
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise ValueError(f"no SQL literal for the non-finite value {v!r}")
-        text = f"{v!r}D"
-    elif isinstance(v, int):
-        text = str(v)
-    elif isinstance(v, str):
-        return "'" + v.replace("\\", "\\\\").replace("'", "\\'") + "'"
-    else:
-        raise TypeError(f"no SQL literal for {type(v).__name__} {v!r}")
-    return f"({text})" if text.startswith("-") else text
-
-
-def sql_ident(name: str) -> str:
-    """Column ``name`` as a backquoted Spark SQL identifier."""
-    return "`" + name.replace("`", "``") + "`"
+from repro.sql import sql_ident, sql_literal
 
 
 def linear_sql(schema: AttrSchema, features: list[tuple[int, Any]],

@@ -16,7 +16,9 @@ from pyspark.sql import Column
 from pyspark.sql import functions as F
 
 from repro.ring.triple import Triple
-from .linreg import RidgeModel, sql_literal, train_ridge
+from repro.sql import sql_literal
+
+from .linreg import RidgeModel, train_ridge
 
 
 def train_stochastic(triple: Triple, target: str, **kwargs) -> RidgeModel:

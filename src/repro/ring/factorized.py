@@ -20,18 +20,22 @@ the ring product of two such matrices over disjoint attributes is the block
 formula of ``_ring_mul``.
 
 ``join_tree_cofactor`` builds a plan's ``cofactor(fact, where=None)``: one
-``mapInPandas`` job over the fact (``scan_partials``), in which each task, per
-Arrow batch,
+Spark job over the fact (``scan_partials``), in which each fold, per Arrow
+batch,
 
-1. builds its rows' design matrix and gathers the unique-key leaf dimensions
-   (``gather``) into the rows, dropping rows without a match;
-2. sums per-key moments ``[K, p, p]`` by the join keys the folds still need;
+1. builds its rows' design matrix (``triple.design_matrix``, the one the
+   plain lift uses, over the plan's pinned categories) and gathers the
+   unique-key leaf dimensions (``gather``) into the rows, dropping rows
+   without a match;
+2. per predicate of ``where``, takes the rows it selects and sums their
+   per-key moments ``[K, p, p]`` by the join keys the folds still need;
 3. folds them up the tree: per level, a batched ring product with the
    dimension's moments at each key (keys without a match are dropped), then
    a segment sum to the keys the remaining levels need;
 
-and emits one ``p × p`` matrix. The driver adds the tasks' matrices and
-turns the sum back into the sparse ``Triple`` with ``Triple.from_dense``.
+and emits one ``p × p`` matrix per predicate. The driver adds the folds'
+matrices and turns each sum back into the sparse ``Triple`` with
+``Triple.from_dense``.
 """
 from __future__ import annotations
 
@@ -44,7 +48,7 @@ from pyspark.sql import Column, DataFrame
 
 from .schema import AttrSchema
 from .spark_agg import scan_partials
-from .triple import DenseCofactor, Triple, dense_columns
+from .triple import DenseCofactor, Triple, dense_columns, design_matrix
 
 
 @dataclass
@@ -75,28 +79,6 @@ class Dim:
     table: pd.DataFrame
     key: list[str]
     attrs: list[str]
-
-
-def _design(pdf: pd.DataFrame, schema: AttrSchema, categories: dict[str, list],
-            attrs: Sequence[str]) -> np.ndarray:
-    """Rows' design matrix over ``attrs``: the bias, then each attribute in
-    schema order (categoricals one indicator per pinned category), so its
-    columns are ``dense_columns(schema, categories, attrs)``. Fails on a NaN
-    and on a category outside ``categories``."""
-    cols = [np.ones(len(pdf))]
-    for a in sorted(attrs, key=schema.index):
-        v = pdf[a]
-        if v.isna().any():
-            raise ValueError(f"NaN in lifted column {a!r} — impute first")
-        if not schema.is_cat(a):
-            cols.append(v.to_numpy(dtype=np.float64))
-            continue
-        codes = pd.Index(categories[a]).get_indexer(v)
-        if (codes < 0).any():
-            bad = list(dict.fromkeys(v[codes < 0].tolist()))[:5]
-            raise ValueError(f"{a!r} holds values outside the plan's categories: {bad}")
-        cols.append(np.eye(len(categories[a]))[codes].T)
-    return np.vstack(cols).T
 
 
 def _key_index(cols: list[np.ndarray]) -> pd.Index:
@@ -184,7 +166,7 @@ def join_tree_cofactor(schema: AttrSchema, categories: dict[str, list],
 
     def prepared(d: Dim):
         index = _key_index([d.table[c].to_numpy() for c in d.key])
-        return d.key, index, _design(d.table, schema, categories, d.attrs)
+        return d.key, index, design_matrix(d.table, schema, categories, d.attrs)
 
     gathers = [prepared(d) for d in gather]
     levels = [prepared(d) for d in fold]
@@ -203,24 +185,30 @@ def join_tree_cofactor(schema: AttrSchema, categories: dict[str, list],
     back = np.argsort(order)
     p = len(columns)
 
-    def lift(pdf: pd.DataFrame) -> np.ndarray:
-        x = _design(pdf, schema, categories, fact_attrs)
+    def lift(pdf: pd.DataFrame, rows: list[np.ndarray | None]) -> list[np.ndarray]:
+        # the batch's design matrix and gathers once; then each mask's rows
+        x = design_matrix(pdf, schema, categories, fact_attrs)
         keys = {c: pdf[c].to_numpy() for c in key_cols}
-        for key, index, rows in gathers:
+        for key, index, dim in gathers:
             hit = index.get_indexer(_key_index([keys[c] for c in key]))
             keep = hit >= 0  # inner join: rows without a match drop out
-            x = np.hstack([x[keep], rows[hit[keep], 1:]])
+            x = np.hstack([x[keep], dim[hit[keep], 1:]])
             keys = {c: v[keep] for c, v in keys.items()}
+            rows = [r if r is None else r[keep] for r in rows]
+        return [fold_levels(x, keys) if r is None else
+                fold_levels(x[r], {c: v[r] for c, v in keys.items()}) for r in rows]
+
+    def fold_levels(x: np.ndarray, keys: dict[str, np.ndarray]) -> np.ndarray:
         if len(x) == 0:
             return np.zeros((p, p))
         gid, keys = _groups(keys, level_keys[0], len(x))
         m = _moments(x, gid)
-        for i, (key, index, rows) in enumerate(levels):
+        for i, (key, index, dim) in enumerate(levels):
             hit = index.get_indexer(_key_index([keys[c] for c in key]))
             keep = hit >= 0
             if not keep.any():
                 return np.zeros((p, p))
-            b = rows[hit[keep]]
+            b = dim[hit[keep]]
             m = _ring_mul(m[keep], b[:, :, None] * b[:, None, :])
             gid, keys = _groups({c: v[keep] for c, v in keys.items()},
                                 level_keys[i + 1], len(m))

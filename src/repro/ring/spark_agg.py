@@ -24,12 +24,15 @@ from __future__ import annotations
 import pickle
 from typing import Any, Callable, Iterable, Iterator
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
+from repro.sql import select_cols, sql_ident
+
 from .schema import AttrSchema
-from .triple import Rel, Triple, lift_block, triple_sum, _py
+from .triple import Rel, Triple, lift_rows, triple_sum, _py
 
 
 def cofactor_ring(df: DataFrame, schema: AttrSchema,
@@ -49,7 +52,7 @@ def cofactor_ring(df: DataFrame, schema: AttrSchema,
     """
     names = list(attrs) if attrs is not None else list(schema.names)
     per_task = scan_partials(df, names, where,
-                             lambda b: lift_block(b, schema, names),
+                             lambda b, rows: lift_rows(b, schema, names, rows),
                              lambda: Triple.zero(schema))
     out = [triple_sum((accs[k] for accs in per_task), schema)
            for k in range(len(where) if where is not None else 1)]
@@ -68,15 +71,19 @@ LOCAL_SCAN_BYTES = 64 << 20
 
 
 def scan_partials(df: DataFrame, cols: list[str], where: list[Column] | None,
-                  lift: Callable[[pd.DataFrame], Any],
+                  lift: Callable[[pd.DataFrame, list[np.ndarray | None]], list],
                   zero: Callable[[], Any]) -> list[list]:
     """One Spark job summing ``lift`` over the rows of ``df``.
 
-    ``fold`` adds ``lift(batch)`` over pandas batches of ``df[cols]``,
-    starting from ``zero()``, and returns one partial per predicate of
-    ``where`` (the predicates are projected as flag columns, and each batch
-    is lifted once per flag), or a single whole-batch partial without
-    ``where``. The result holds a list of such partials per fold.
+    ``fold`` runs over pandas batches of ``df[cols]`` and returns one
+    partial per predicate of ``where``, or a single whole-batch partial
+    without ``where``; the result holds a list of such partials per fold.
+    The predicates are projected as flag columns, and rows no predicate
+    selects are filtered out before they leave the JVM. Per batch, ``fold``
+    calls ``lift(batch, rows)`` once, with one boolean row mask per
+    predicate (``None``: every row), and adds the partials it returns, one
+    per mask, to its sums, which start at ``zero()``: so a lift builds what
+    the masks share (a design matrix) once per batch.
 
     A small frame — one Spark's optimizer bounds at or below
     ``LOCAL_SCAN_BYTES`` — is collected with one Arrow collect (a JVM job, no
@@ -109,16 +116,21 @@ def scan_partials(df: DataFrame, cols: list[str], where: list[Column] | None,
     def fold(batches: Iterable[pd.DataFrame]) -> list:
         accs = [zero() for _ in flags]
         for b in batches:
-            for k, flag in enumerate(flags):
-                sel = b if flag is None else b[b[flag]]
-                accs[k] = accs[k] + lift(sel)
+            rows = [None if f is None else b[f].to_numpy(dtype=bool) for f in flags]
+            accs = [acc + part for acc, part in zip(accs, lift(b, rows))]
         return accs
 
     def partials(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         yield pd.DataFrame({"t": [pickle.dumps(fold(batches))]})
 
-    proj = df.select(*cols, *[F.coalesce(p, F.lit(False)).alias(f)
-                              for p, f in zip(preds, flags) if f is not None])
+    # the column names go over as one string (``select_cols``), and the
+    # flags, a Column each, as one ``withColumns``
+    if where:
+        df = df.withColumns({f: F.coalesce(p, F.lit(False))
+                             for p, f in zip(preds, flags)})
+    proj = select_cols(df, cols + [f for f in flags if f is not None])
+    if where:
+        proj = proj.filter(" OR ".join(sql_ident(f) for f in flags))
     if proj._jdf.queryExecution().optimizedPlan().stats().sizeInBytes() <= LOCAL_SCAN_BYTES:
         table = proj.toArrow()
         step = int(spark.conf.get("spark.sql.execution.arrow.maxRecordsPerBatch"))

@@ -26,8 +26,11 @@ multiplication is join (cartesian key combination for distinct attributes,
 key intersection for the same attribute).
 
 ``lift_block`` is the bulk lifting function λ([cont...], [cat...]): it maps a
-whole pandas block to one Triple using vectorized NumPy/pandas kernels — the
-analogue of the paper's ``SUM_TRIPLE`` aggregate operating on value vectors.
+whole pandas block to one Triple, the Gram matrix ``xᵀx`` of the block's
+one-hot design matrix (``design_matrix``, over the categories that occur in
+the block) turned back into sparse form — the analogue of the paper's
+``SUM_TRIPLE`` aggregate operating on value vectors. ``lift_rows`` builds that
+matrix once and lifts several row subsets of it.
 
 ``Triple.to_dense`` expands a triple into the classic one-hot cofactor matrix
 with a bias row/column, from which both ridge/stochastic linear regression and
@@ -269,31 +272,34 @@ class Triple:
     def from_dense(cls, dense: "DenseCofactor") -> "Triple":
         """The inverse of ``to_dense``: the sparse triple of a one-hot matrix.
 
-        A category whose count ``mat[0, k]`` is zero is left absent, with
-        every entry it would key, as ``lift_block`` leaves out categories no
-        row holds; so is a zero categorical pair count. A matrix with
-        ``mat[0, 0] == 0`` (no rows) gives the zero triple.
+        A category whose count ``mat[0, k]`` is zero (no row holds it) is
+        left absent, with every entry it would key; so is a zero categorical
+        pair count. A matrix with ``mat[0, 0] == 0`` (no rows) gives the
+        zero triple.
         """
-        schema, mat, cols = dense.schema, dense.mat, dense.columns
-        n = float(mat[0, 0])
+        schema, cols = dense.schema, dense.columns
+        # Python floats, read entry by entry below
+        mat = np.asarray(dense.mat, dtype=np.float64).tolist()
+        n = mat[0][0]
         if n == 0:
             return cls.zero(schema)
         s: dict[int, Rel] = {}
         q: dict[tuple[int, int], Rel] = {}
         live = [k for k, (i, v) in enumerate(cols)
-                if i >= 0 and (v is None or mat[0, k] != 0)]
+                if i >= 0 and (v is None or mat[0][k] != 0)]
         for k in live:
             i, v = cols[k]
             if v is None:
-                s[i] = float(mat[0, k])
+                s[i] = mat[0][k]
             else:
-                s.setdefault(i, {})[v] = float(mat[0, k])
+                s.setdefault(i, {})[v] = mat[0][k]
         # columns run in schema order, so for a <= b, i <= j
         for a, ka in enumerate(live):
             i, vi = cols[ka]
+            row = mat[ka]
             for kb in live[a:]:
                 j, vj = cols[kb]
-                val = float(mat[ka, kb])
+                val = row[kb]
                 if vi is None and vj is None:
                     q[(i, j)] = val
                 elif vi is None or vj is None:
@@ -390,66 +396,72 @@ def lift_row(schema: AttrSchema, values: dict[str, Any]) -> Triple:
     return out
 
 
-def lift_block(pdf: pd.DataFrame, schema: AttrSchema,
-               attrs: Iterable[str] | None = None) -> Triple:
-    """Bulk λ: lift a pandas block to one Triple with vectorized kernels.
+def design_matrix(pdf: pd.DataFrame, schema: AttrSchema,
+                  categories: dict[str, list], attrs: Iterable[str]) -> np.ndarray:
+    """Rows' one-hot design matrix over ``attrs``: the bias 1, then each
+    attribute in schema order, a categorical one as a 0/1 indicator per
+    entry of ``categories[name]``. Its columns are ``dense_columns(schema,
+    categories, attrs)``, so ``x.T @ x`` is the ``DenseCofactor`` matrix of
+    the rows' triple. Fails, naming the attribute, on a NaN or null and on a
+    category outside ``categories``."""
+    n = len(pdf)
+    names = sorted(attrs, key=schema.index)
+    widths = [len(categories[a]) if schema.is_cat(a) else 1 for a in names]
+    x = np.zeros((n, 1 + sum(widths)), order="F")  # filled column by column
+    x[:, 0] = 1.0
+    k = 1
+    for a, w in zip(names, widths):
+        # NumPy per column: a pandas ``isna`` costs ~60 µs per call
+        v = pdf[a].to_numpy()
+        if schema.is_cat(a):
+            codes = pd.Index(categories[a]).get_indexer(v)
+            if (codes < 0).any():
+                if pd.isna(v).any():
+                    raise ValueError(f"NaN in lifted column {a!r} — impute first")
+                bad = list(dict.fromkeys(v[codes < 0].tolist()))[:5]
+                raise ValueError(f"{a!r} holds values outside the plan's categories: {bad}")
+            x[np.arange(n), k + codes] = 1.0
+        else:
+            x[:, k] = v
+            if np.isnan(x[:, k]).any():
+                raise ValueError(f"NaN in lifted column {a!r} — impute first")
+        k += w
+    return x
 
-    ``attrs`` restricts lifting to a subset of the (global) schema — used by
-    factorized evaluation where each table contributes only its own
-    attributes. Continuous sums and the continuous-continuous block are one
-    BLAS call; categorical interactions use pandas groupbys.
+
+def lift_rows(pdf: pd.DataFrame, schema: AttrSchema, attrs: Iterable[str] | None,
+              rows: Iterable[np.ndarray | None]) -> list[Triple]:
+    """Bulk λ over the rows each entry of ``rows`` selects (a boolean mask
+    over ``pdf``; ``None`` selects every row), one triple per entry.
+
+    The batch's design matrix is built once, over the categories that occur
+    in it, and each triple is the Gram matrix of the mask's rows of it. A
+    category none of those rows holds has a zero count, and ``from_dense``
+    leaves it absent. ``attrs`` restricts lifting to a subset of the
+    (global) schema, as factorized evaluation does.
     """
     names = list(attrs) if attrs is not None else list(schema.names)
-    cont = [n for n in names if not schema.is_cat(schema.index(n))]
-    cats = [n for n in names if schema.is_cat(schema.index(n))]
-    n_rows = float(len(pdf))
-    s: dict[int, Rel] = {}
-    q: dict[tuple[int, int], Rel] = {}
-    if n_rows == 0:
-        return Triple(schema, 0.0, s, q)
+    cats = {}
+    for a in names:
+        if schema.is_cat(a):
+            u = pd.unique(pdf[a].to_numpy())
+            cats[a] = u[~pd.isna(u)].tolist()  # a null fails in design_matrix
+    x = design_matrix(pdf, schema, cats, names)
+    columns = dense_columns(schema, cats, names)
+    pos = {c: k for k, c in enumerate(columns)}
 
-    if cont:
-        xc = pdf[cont].to_numpy(dtype=np.float64, copy=False)
-        if np.isnan(xc).any():
-            raise ValueError("lift_block over data with NaNs — impute first")
-        sums = xc.sum(axis=0)
-        qcc = xc.T @ xc
-        idx = [schema.index(c) for c in cont]
-        for a, i in enumerate(idx):
-            s[i] = float(sums[a])
-            for b in range(a, len(idx)):
-                j = idx[b]
-                key = (i, j) if i <= j else (j, i)
-                q[key] = float(qcc[a, b])
+    def gram(z: np.ndarray) -> Triple:
+        mat = z.T @ z
+        return Triple.from_dense(DenseCofactor(schema, columns, pos, mat, mat[0, 0]))
 
-    for cname in cats:
-        i = schema.index(cname)
-        if cont:
-            grouped = pdf.groupby(cname, sort=False, observed=True)[cont].sum()
-            counts = pdf.groupby(cname, sort=False, observed=True).size()
-        else:
-            counts = pdf.groupby(cname, sort=False, observed=True).size()
-            grouped = None
-        cnt = {_py(k): float(v) for k, v in counts.items()}
-        s[i] = cnt
-        q[(i, i)] = dict(cnt)
-        if grouped is not None:
-            for ccol in cont:
-                j = schema.index(ccol)
-                key = (i, j) if i <= j else (j, i)
-                q[key] = {_py(k): float(v) for k, v in grouped[ccol].items()}
+    return [gram(x if r is None else x[r]) for r in rows]
 
-    for a in range(len(cats)):
-        for b in range(a + 1, len(cats)):
-            i, j = schema.index(cats[a]), schema.index(cats[b])
-            pair = pdf.groupby([cats[a], cats[b]], sort=False, observed=True).size()
-            rel = {(_py(ki), _py(kj)): float(v) for (ki, kj), v in pair.items()}
-            if i > j:
-                i, j = j, i
-                rel = {(kj, ki): v for (ki, kj), v in rel.items()}
-            q[(i, j)] = rel
 
-    return Triple(schema, n_rows, s, q)
+def lift_block(pdf: pd.DataFrame, schema: AttrSchema,
+               attrs: Iterable[str] | None = None) -> Triple:
+    """Bulk λ: lift a pandas block to one Triple, the Gram matrix of its
+    one-hot design matrix (``lift_rows`` over every row)."""
+    return lift_rows(pdf, schema, attrs, [None])[0]
 
 
 def triple_sum(triples: Iterable[Triple], schema: AttrSchema) -> Triple:

@@ -6,9 +6,11 @@ from pyspark.sql import functions as F
 
 from repro.ring import AttrSchema, cofactor_ring, spark_agg
 from repro.ring.factorized import (
-    Dim, _design, _groups, _moments, _ring_mul, join_tree_cofactor,
+    Dim, _groups, _moments, _ring_mul, join_tree_cofactor,
 )
-from repro.ring.triple import DenseCofactor, Triple, dense_columns, lift_block
+from repro.ring.triple import (
+    DenseCofactor, Triple, dense_columns, design_matrix, lift_block,
+)
 
 CATS = {"c": ["u", "v", "w"]}
 
@@ -24,7 +26,7 @@ def cofactor_factorized_2(left, right, schema, left_attrs, right_attrs, key):
 def keyed_triples(pdf, schema, attrs, by):
     """Per-key triples of ``pdf`` grouped by ``by``, from the fold's dense
     per-key moments."""
-    x = _design(pdf, schema, CATS, attrs)
+    x = design_matrix(pdf, schema, CATS, attrs)
     gid, keys = _groups({c: pdf[c].to_numpy() for c in by}, by, len(pdf))
     cols = dense_columns(schema, CATS, attrs)
     pos = {c: k for k, c in enumerate(cols)}
@@ -128,8 +130,8 @@ class TestRingMul:
         schema = star["schema"]
         j = star["joined"]
         left, right = ["x", "b"], ["a", "c"]
-        xa = _design(j, schema, CATS, left)
-        xb = _design(j, schema, CATS, right)
+        xa = design_matrix(j, schema, CATS, left)
+        xb = design_matrix(j, schema, CATS, right)
         gid, _ = _groups({"k2": j["k2"].to_numpy()}, ["k2"], len(j))
         got = _ring_mul(_moments(xa, gid), _moments(xb, gid))
         # columns [bias, x, b, a, c=u,v,w] → the schema-order layout
@@ -225,7 +227,7 @@ class TestFailLoudly:
 
     def test_nan_rejected(self, spark, star, distributed_scan):
         with pytest.raises(ValueError, match="NaN in lifted column 'x'"):
-            _design(pd.DataFrame({"x": [1.0, np.nan]}), star["schema"], CATS, ["x"])
+            design_matrix(pd.DataFrame({"x": [1.0, np.nan]}), star["schema"], CATS, ["x"])
         d1 = star["d1"].copy()
         d1.loc[3, "c"] = None
         with pytest.raises(ValueError, match="NaN in lifted column 'c'"):

@@ -9,6 +9,7 @@ The central correctness claims:
   partitioned data mid-run.
 """
 import itertools
+import threading
 
 import numpy as np
 import pandas as pd
@@ -22,9 +23,11 @@ from repro.mice import (
     mice_baseline,
     mice_high,
     mice_low,
+    prepare,
     run_mice,
 )
-from repro.ring import cofactor_ring
+from repro.mice.step import apply_imputation, fit
+from repro.ring import AttrSchema, cofactor_ring
 
 SF = 0.0004  # ~2k rows — enough signal, fast iterations
 
@@ -423,3 +426,72 @@ class TestJobsPerRound:
                 for iters in (1, 2, 3)]
         assert jobs[0] <= self.BOUND[variant], jobs
         assert jobs[1] - jobs[0] == jobs[2] - jobs[1] == len(THREE), jobs
+
+
+def py4j_commands(spark, fn) -> int:
+    """Py4J commands this thread sends while ``fn()`` runs. Releases of JVM
+    references (``m`` commands, sent whenever Python frees a JavaObject,
+    also from Py4J's finalizer thread) are not counted."""
+    client = spark.sparkContext._gateway._gateway_client
+    me = threading.get_ident()
+    sent = []
+    real = client.send_command
+
+    def spy(command, *args, **kwargs):
+        if threading.get_ident() == me and not command.startswith("m\n"):
+            sent.append(command)
+        return real(command, *args, **kwargs)
+
+    client.send_command = spy
+    try:
+        fn()
+    finally:
+        del client.send_command  # back to the class's method
+    return len(sent)
+
+
+class TestPy4JCommandsPerPlan:
+    """Building a step's plan costs the same Py4J commands at any frame
+    width: the per-column ``select``/``withColumn`` idiom sends one or more
+    per column."""
+
+    INC = ["x0", "x1"]
+
+    @pytest.fixture(scope="class")
+    def frames(self, spark):
+        g = np.random.default_rng(4)
+        out = {}
+        for width in (10, 40):
+            cols = [f"x{i}" for i in range(width)]
+            pdf = pd.DataFrame(g.normal(size=(200, width)), columns=cols)
+            pdf.loc[::5, "x0"] = np.nan
+            pdf.loc[1::7, "x1"] = np.nan
+            df = spark.createDataFrame(pdf).localCheckpoint(eager=True)
+            out[width] = (df, AttrSchema.of(continuous=cols))
+        return out
+
+    @staticmethod
+    def per_width(spark, frames, plan) -> dict[int, int]:
+        """Commands of ``plan(df, schema)()`` per frame width, each counted
+        after a warm-up call (first calls look up JVM classes and methods)."""
+        counts = {}
+        for width, frame in frames.items():
+            build = plan(*frame)
+            build()
+            counts[width] = py4j_commands(spark, build)
+        return counts
+
+    def test_prepare(self, spark, frames):
+        counts = self.per_width(
+            spark, frames, lambda df, schema: lambda: prepare(df, schema, self.INC))
+        assert counts[10] == counts[40], counts
+
+    def test_apply_imputation(self, spark, frames):
+        def update(df, schema):
+            prep = prepare(df, schema, self.INC)
+            model = fit(cofactor_ring(prep.df, schema), "x0", prep)
+            return lambda: apply_imputation(prep.df, model, "x0", prep,
+                                            seed=1, noise=True)
+
+        counts = self.per_width(spark, frames, update)
+        assert counts[10] == counts[40], counts

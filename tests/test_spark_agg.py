@@ -271,6 +271,22 @@ def map_in_pandas_calls(monkeypatch, li):
     return calls
 
 
+@pytest.fixture
+def arrow_rows(monkeypatch, li):
+    """Rows of each table ``DataFrame.toArrow`` collects (driver scans)."""
+    rows = []
+    cls = type(li)
+    real = cls.toArrow
+
+    def spy(self, *args, **kwargs):
+        table = real(self, *args, **kwargs)
+        rows.append(table.num_rows)
+        return table
+
+    monkeypatch.setattr(cls, "toArrow", spy)
+    return rows
+
+
 class TestDriverFold:
     """A frame under ``LOCAL_SCAN_BYTES`` is collected through Arrow and
     folded on the driver; the triple is the task fold's."""
@@ -350,6 +366,19 @@ class TestDriverFold:
         for t1, t2 in zip(first, second):
             assert (t1.n, t1.s, t1.q) == (t2.n, t2.s, t2.q)
         assert map_in_pandas_calls == []
+
+    def test_rows_outside_every_predicate_stay_in_the_jvm(self, li, preds,
+                                                           arrow_rows):
+        from pyspark.sql import functions as F
+
+        assert cofactor_ring(li, LI_SCHEMA, where=[F.lit(False)]) == [
+            Triple.zero(LI_SCHEMA)]
+        assert arrow_rows == [0]
+        got = cofactor_ring(li, LI_SCHEMA, where=preds)
+        assert arrow_rows[1] == li.filter(preds[0] | preds[1]).count()
+        assert arrow_rows[1] < li.count()
+        for p, t in zip(preds, got):
+            assert t.n == li.filter(p).count()
 
     def test_empty_frame_is_zero(self, li, preds, map_in_pandas_calls):
         empty = li.limit(0)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ring import AttrSchema, Triple, lift_block, lift_row, triple_sum
+from repro.ring.triple import lift_rows
 
 S2 = AttrSchema.of(continuous=["a", "b"])
 SMIX = AttrSchema.of(continuous=["a", "b"], categorical=["c", "d"])
@@ -160,6 +161,28 @@ class TestLiftMixed:
     def test_integer_categories_are_python_ints(self):
         t = lift_block(block(10), SMIX)
         assert all(isinstance(k, int) for k in t.sum_of("d"))
+
+    def test_null_category_rejected(self):
+        """A null in a lifted categorical column fails, naming the column,
+        as a NaN in a continuous one does."""
+        pdf = pd.DataFrame({"a": [1.0, 2.0, 3.0], "b": [0.5, 0.5, 0.5],
+                            "c": ["x", None, "y"], "d": [0, 1, 0]})
+        with pytest.raises(ValueError, match="NaN in lifted column 'c'"):
+            lift_block(pdf, SMIX)
+
+    def test_rows_match_filtered_blocks(self):
+        """``lift_rows`` lifts each mask's rows of one design matrix: the
+        triple of the filtered block, with categories no selected row holds
+        left out."""
+        pdf = block(300, seed=8)
+        masks = [pdf["a"].to_numpy() > 0, (pdf["c"] == "x").to_numpy(),
+                 np.zeros(len(pdf), dtype=bool)]
+        got = lift_rows(pdf, SMIX, None, [None, *masks])
+        assert got[0] == lift_block(pdf, SMIX)
+        for t, m in zip(got[1:], masks):
+            assert t.allclose(lift_block(pdf[m], SMIX), rtol=1e-12, atol=1e-12)
+        assert set(got[2].sum_of("c")) == {"x"}
+        assert got[3] == Triple.zero(SMIX)
 
 
 class TestRingOps:
