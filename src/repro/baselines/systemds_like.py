@@ -29,7 +29,7 @@ from repro.mice.prep import mask_col, prepare
 from repro.mice.step import attr_seed, fit, impute_column
 from repro.mice.timing import TimingLog
 from repro.ring.schema import AttrSchema
-from repro.ring.triple import DenseCofactor, Triple, dense_columns
+from repro.ring.triple import Triple, dense_columns
 
 
 def _onehot_cols(schema: AttrSchema, dense_cols) -> list[tuple[str, str, object]]:
@@ -83,7 +83,6 @@ def mice_competitor(
     with timing.time("preprocess.prepare"):
         prep = prepare(df, schema, incomplete)
     dense_cols = dense_columns(schema, prep.categories)
-    pos = {c: k for k, c in enumerate(dense_cols)}
     with timing.time("preprocess.onehot"):
         cols = _onehot_cols(schema, dense_cols)
         cur = _encode(prep.df, cols).localCheckpoint(eager=True)
@@ -100,8 +99,7 @@ def mice_competitor(
             with timing.time("iter.cofactor"):
                 mat = _scalar_cofactor(observed, names)
             with timing.time("iter.train"):
-                dense = DenseCofactor(schema, dense_cols, pos, mat, mat[0, 0])
-                model = fit(Triple.from_dense(dense), attr, prep, l2=l2)
+                model = fit(Triple(schema, dense_cols, mat), attr, prep, l2=l2)
             if model is None:
                 continue
             with timing.time("iter.update"):

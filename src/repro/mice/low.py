@@ -115,7 +115,7 @@ def algorithm2(
         c, delta = scan(parts.union_all(), where=[
             nmiss < m if low else nmiss == 0, step_rows(incomplete[0])])
     for k, (it, ai, attr) in enumerate(steps):
-        c_train = (c - delta).prune(tol=0.0) if low else c + delta
+        c_train = c - delta if low else c + delta
         with timing.time("iter.train"):
             model = fit(c_train, attr, prep, l2=l2)
         updated = model is not None and parts.count_of(mask_col(attr)) != 0

@@ -85,7 +85,7 @@ def train_lda(
     schema = triple.schema
     if not schema.is_cat(target):
         raise ValueError(f"{target} is continuous — use (stochastic) regression")
-    dense = triple.to_dense(categories=categories)
+    dense = triple.pinned(categories)
     t_idx = schema.index(target)
     class_cols = dense.attr_cols(t_idx)
     classes = [dense.columns[k][1] for k in class_cols]

@@ -112,7 +112,7 @@ def train_ridge(
     schema = triple.schema
     if schema.is_cat(target):
         raise ValueError(f"{target} is categorical — use LDA")
-    dense = triple.to_dense(categories=categories)
+    dense = triple.pinned(categories)
     t_idx = schema.index(target)
     tcol = dense.pos[(t_idx, None)]
     feat = [k for k in range(len(dense.columns)) if k != tcol]

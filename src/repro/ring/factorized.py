@@ -15,9 +15,9 @@ LMFAO).
 Keyed triples are held as dense moment matrices over the plan's pinned
 one-hot domain: for the rows of key ``k``, ``M[k] = Σ x xᵀ`` where ``x`` is a
 row's design vector (bias 1 at index 0, continuous values, one indicator per
-category), so ``M[k]`` is the ``Triple.to_dense`` of that key's triple and
-the ring product of two such matrices over disjoint attributes is the block
-formula of ``_ring_mul``.
+category), so ``M[k]`` is the ``Triple.mat`` of that key's triple and the
+ring product of two such matrices over disjoint attributes is the block
+formula of ``_ring_mul``, the batched disjoint case of ``Triple.__mul__``.
 
 ``join_tree_cofactor`` builds a plan's ``cofactor(fact, where=None)``: one
 Spark job over the fact (``scan_partials``), in which each fold, per Arrow
@@ -34,8 +34,7 @@ batch,
    a segment sum to the keys the remaining levels need;
 
 and emits one ``p × p`` matrix per predicate. The driver adds the folds'
-matrices and turns each sum back into the sparse ``Triple`` with
-``Triple.from_dense``.
+matrices, and each sum is the ``Triple`` over the plan's pinned layout.
 """
 from __future__ import annotations
 
@@ -48,7 +47,7 @@ from pyspark.sql import Column, DataFrame
 
 from .schema import AttrSchema
 from .spark_agg import scan_partials
-from .triple import DenseCofactor, Triple, dense_columns, design_matrix
+from .triple import Triple, dense_columns, design_matrix
 
 
 @dataclass
@@ -177,7 +176,7 @@ def join_tree_cofactor(schema: AttrSchema, categories: dict[str, list],
     key_cols = list(dict.fromkeys([c for d in gather for c in d.key] + level_keys[0]))
 
     # the tasks' column order (bias, then the fact's, the gathered and the
-    # folded attributes) → the DenseCofactor layout (attributes in schema order)
+    # folded attributes) → the Triple layout (attributes in schema order)
     columns = dense_columns(schema, categories, owner)
     pos = {c: k for k, c in enumerate(columns)}
     order = [0] + [pos[c] for attrs in (fact_attrs, *(d.attrs for d in (*gather, *fold)))
@@ -222,7 +221,7 @@ def join_tree_cofactor(schema: AttrSchema, categories: dict[str, list],
         out = []
         for k in range(len(where) if where is not None else 1):
             mat = sum((accs[k] for accs in per_task), np.zeros((p, p)))[np.ix_(back, back)]
-            out.append(Triple.from_dense(DenseCofactor(schema, columns, pos, mat, mat[0, 0])))
+            out.append(Triple(schema, columns, mat))
         return out if where is not None else out[0]
 
     return cofactor

@@ -32,7 +32,7 @@ from pyspark.sql import functions as F
 from repro.sql import select_cols, sql_ident
 
 from .schema import AttrSchema
-from .triple import Rel, Triple, lift_rows, triple_sum, _py
+from .triple import Triple, dense_columns, lift_rows, triple_sum, _py
 
 
 def cofactor_ring(df: DataFrame, schema: AttrSchema,
@@ -149,12 +149,12 @@ def cofactor_sql(df: DataFrame, schema: AttrSchema,
     Issues ``1 + n_cat + C(n_cat, 2)`` aggregation jobs: scalar SUMs cannot
     express group-by relations, so every categorical attribute (and pair)
     needs its own GROUP BY scan — exactly the redundancy the ring removes.
+    The rows of those scans fill the one-hot matrix over the categories they
+    find, sorted.
     """
     names = list(attrs) if attrs is not None else list(schema.names)
     cont = [n for n in names if not schema.is_cat(n)]
     cats = [n for n in names if schema.is_cat(n)]
-    s: dict[int, Rel] = {}
-    q: dict[tuple[int, int], Rel] = {}
 
     aggs = [F.count(F.lit(1)).alias("__n")]
     for i, a in enumerate(cont):
@@ -162,38 +162,39 @@ def cofactor_sql(df: DataFrame, schema: AttrSchema,
         for j in range(i, len(cont)):
             aggs.append(F.sum(F.col(a) * F.col(cont[j])).alias(f"__q_{i}_{j}"))
     row = df.agg(*aggs).collect()[0]
-    n = float(row["__n"])
-    for i, a in enumerate(cont):
-        ia = schema.index(a)
-        s[ia] = float(row[f"__s_{i}"] or 0.0)
-        for j in range(i, len(cont)):
-            ja = schema.index(cont[j])
-            key = (ia, ja) if ia <= ja else (ja, ia)
-            q[key] = float(row[f"__q_{i}_{j}"] or 0.0)
+    sums = [F.sum(F.col(a)).alias(f"__s_{k}") for k, a in enumerate(cont)]
+    by_cat = {c: df.groupBy(c).agg(F.count(F.lit(1)).alias("__n"), *sums).collect()
+              for c in cats}
 
-    for c in cats:
-        ic = schema.index(c)
-        aggs = [F.count(F.lit(1)).alias("__n")] + [
-            F.sum(F.col(a)).alias(f"__s_{k}") for k, a in enumerate(cont)
-        ]
-        rows = df.groupBy(c).agg(*aggs).collect()
-        cnt = {_py(r[c]): float(r["__n"]) for r in rows}
-        s[ic] = cnt
-        q[(ic, ic)] = dict(cnt)
-        for k, a in enumerate(cont):
-            ia = schema.index(a)
-            key = (min(ic, ia), max(ic, ia))
-            q[key] = {_py(r[c]): float(r[f"__s_{k}"] or 0.0) for r in rows}
+    columns = dense_columns(
+        schema, {c: sorted(_py(r[c]) for r in rows) for c, rows in by_cat.items()}, names)
+    pos = {c: k for k, c in enumerate(columns)}
+    mat = np.zeros((len(columns), len(columns)))
+
+    def put(a: tuple, b: tuple, v) -> None:
+        mat[pos[a], pos[b]] = mat[pos[b], pos[a]] = float(v or 0.0)
+
+    bias = (-1, None)
+    put(bias, bias, row["__n"])
+    for i, a in enumerate(cont):
+        ka = (schema.index(a), None)
+        put(bias, ka, row[f"__s_{i}"])
+        for j in range(i, len(cont)):
+            put(ka, (schema.index(cont[j]), None), row[f"__q_{i}_{j}"])
+
+    for c, rows in by_cat.items():
+        for r in rows:
+            kc = (schema.index(c), _py(r[c]))
+            put(bias, kc, r["__n"])
+            put(kc, kc, r["__n"])
+            for k, a in enumerate(cont):
+                put(kc, (schema.index(a), None), r[f"__s_{k}"])
 
     for x in range(len(cats)):
         for y in range(x + 1, len(cats)):
             cx, cy = cats[x], cats[y]
-            ix, iy = schema.index(cx), schema.index(cy)
-            rows = df.groupBy(cx, cy).count().collect()
-            rel = {(_py(r[cx]), _py(r[cy])): float(r["count"]) for r in rows}
-            if ix > iy:
-                ix, iy = iy, ix
-                rel = {(b, a): v for (a, b), v in rel.items()}
-            q[(ix, iy)] = rel
+            for r in df.groupBy(cx, cy).count().collect():
+                put((schema.index(cx), _py(r[cx])), (schema.index(cy), _py(r[cy])),
+                    r["count"])
 
-    return Triple(schema, n, s, q)
+    return Triple(schema, columns, mat)

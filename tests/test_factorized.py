@@ -9,7 +9,7 @@ from repro.ring.factorized import (
     Dim, _groups, _moments, _ring_mul, join_tree_cofactor,
 )
 from repro.ring.triple import (
-    DenseCofactor, Triple, dense_columns, design_matrix, lift_block,
+    Triple, dense_columns, design_matrix, lift_block,
 )
 
 CATS = {"c": ["u", "v", "w"]}
@@ -29,12 +29,10 @@ def keyed_triples(pdf, schema, attrs, by):
     x = design_matrix(pdf, schema, CATS, attrs)
     gid, keys = _groups({c: pdf[c].to_numpy() for c in by}, by, len(pdf))
     cols = dense_columns(schema, CATS, attrs)
-    pos = {c: k for k, c in enumerate(cols)}
     out = {}
     for g, m in enumerate(_moments(x, gid)):
         k = tuple(keys[c][g].item() for c in by)
-        out[k if len(by) > 1 else k[0]] = Triple.from_dense(
-            DenseCofactor(schema, cols, pos, m, m[0, 0]))
+        out[k if len(by) > 1 else k[0]] = Triple(schema, cols, m)
     return out
 
 
@@ -120,7 +118,7 @@ class TestLiftGrouped:
         got = keyed_triples(star["joined"], star["schema"], [], ["k2"])
         sizes = star["joined"].groupby("k2").size()
         for k, n in sizes.items():
-            assert got[k].n == n and not got[k].s
+            assert got[k].n == n and got[k].columns == [(-1, None)]
 
 
 class TestRingMul:
@@ -136,14 +134,12 @@ class TestRingMul:
         got = _ring_mul(_moments(xa, gid), _moments(xb, gid))
         # columns [bias, x, b, a, c=u,v,w] → the schema-order layout
         cols = dense_columns(schema, CATS)
-        pos = {c: k for k, c in enumerate(cols)}
         back = np.argsort([0, 1, 3, 2, 4, 5, 6])
         for g in range(3):
             rows = j[gid == g]
             want = lift_block(rows, schema, left) * lift_block(rows, schema, right)
             m = got[g][np.ix_(back, back)]
-            assert Triple.from_dense(DenseCofactor(schema, cols, pos, m, m[0, 0])
-                                     ).allclose(want, rtol=1e-9, atol=1e-9)
+            assert Triple(schema, cols, m).allclose(want, rtol=1e-9, atol=1e-9)
 
 
 class TestStarFold:
@@ -287,7 +283,7 @@ class TestDriverFold:
         driver, tasks = self.both_paths(rt["plan"].cofactor, rt["one"],
                                         self.preds() if with_where else None)
         for a, b in zip(driver, tasks):
-            assert (a.n, a.s, a.q) == (b.n, b.s, b.q)
+            assert a == b
 
     @pytest.mark.parametrize("with_where", [False, True])
     def test_fifty_partitions_close(self, rt, with_where):

@@ -323,10 +323,44 @@ class TestEmptyTrainingSet:
                                       iters=2, noise=True, seed=7))
         assert [a for a, _ in seen] == THREE * 2
         for (a, t0), (_, t1) in zip(seen[1:len(THREE)], seen[len(THREE) + 1:]):
-            assert (t1.n, t1.s, t1.q) == (t0.n, t0.s, t0.q), a
+            assert t1 == t0, a
         base = collect_sorted(run_mice(three, ds.schema, THREE,
                                        variant="baseline", iters=2, seed=7))
         assert out.equals(base)
+
+
+class TestEdgeCases:
+    def test_high_with_empty_complete_partition(self, spark, data):
+        """Every row misses one attribute, so High's complete partition is
+        empty and every training triple starts from a zero ``C_complete``;
+        High still matches Baseline with noise off."""
+        ds = data["ds"]
+        pdf = data["truth"].copy()
+        for k, a in enumerate(THREE):
+            col = pdf[a].astype("Int64") if ds.schema.is_cat(a) else pdf[a]
+            pdf[a] = col.mask(pdf.index % len(THREE) == k)
+        assert pdf[THREE].isna().any(axis=1).all()
+        sdf = spark.createDataFrame(pdf).localCheckpoint(eager=True)
+        out = {v: collect_sorted(run_mice(sdf, ds.schema, THREE, variant=v,
+                                          iters=2, noise=False, seed=5))
+               for v in ("baseline", "high")}
+        for a in ("airtime", "arr_delay"):
+            np.testing.assert_allclose(out["high"][a].to_numpy(),
+                                       out["baseline"][a].to_numpy(), rtol=1e-6)
+        assert (out["high"]["diverted"] == out["baseline"]["diverted"]).all()
+
+    @pytest.mark.parametrize("variant", ["low", "baseline"])
+    def test_single_observed_class(self, spark, data, variant):
+        """When every observed ``diverted`` is 0, LDA has one class, and the
+        masked cells are imputed with it."""
+        pdf, mask = inject_missing(data["truth"], THREE, 0.2, "MCAR", seed=2)
+        pdf.loc[data["truth"]["diverted"].to_numpy() == 1, "diverted"] = pd.NA
+        miss = pdf["diverted"].isna().to_numpy()
+        assert miss.any() and set(pdf["diverted"].dropna()) == {0}
+        res = run_mice(spark.createDataFrame(pdf), data["ds"].schema, THREE,
+                       variant=variant, iters=1, seed=3)
+        out = collect_sorted(res)
+        assert (out["diverted"].to_numpy()[miss] == 0).all()
 
 
 class TestActionsPerRound:
@@ -405,9 +439,9 @@ class TestLazyUpdates:
         first, second = (cofactor_ring(lazy, schema, where=where) for _ in range(2))
         before = cofactor_ring(parts.missing, schema, where=where)
         for a, t1, t2, t0 in zip(THREE, first, second, before):
-            assert (t1.n, t1.s, t1.q) == (t2.n, t2.s, t2.q), a
+            assert t1 == t2, a
             if not schema.is_cat(a):  # the noisy imputations did land
-                assert t1.s[schema.index(a)] != t0.s[schema.index(a)], a
+                assert t1.sum_of(a) != t0.sum_of(a), a
 
 
 class TestJobsPerRound:

@@ -229,7 +229,7 @@ class TestWhere:
         want = triple_sum((pickle.loads(t)[0] for t in sorted(r.t for r in rows)),
                           LI_SCHEMA)
         assert isinstance(ring_triple, Triple)
-        assert (ring_triple.n, ring_triple.s, ring_triple.q) == (want.n, want.s, want.q)
+        assert ring_triple == want
 
 
 class OnTasks:
@@ -312,7 +312,7 @@ class TestDriverFold:
         one = li.coalesce(1).localCheckpoint(eager=True)
         driver, tasks = self.both_paths(one, preds if with_where else None)
         for a, b in zip(driver, tasks):
-            assert (a.n, a.s, a.q) == (b.n, b.s, b.q)
+            assert a == b
 
     @pytest.mark.parametrize("with_where", [False, True])
     def test_fifty_partitions_close(self, li, preds, with_where):
@@ -364,7 +364,7 @@ class TestDriverFold:
         where = [F.col(mask_col(a)) for a in inc]
         first, second = (cofactor_ring(lazy, LI_SCHEMA, where=where) for _ in range(2))
         for t1, t2 in zip(first, second):
-            assert (t1.n, t1.s, t1.q) == (t2.n, t2.s, t2.q)
+            assert t1 == t2
         assert map_in_pandas_calls == []
 
     def test_rows_outside_every_predicate_stay_in_the_jvm(self, li, preds,
@@ -398,7 +398,7 @@ class TestContOnly:
         assert t.allclose(cofactor_sql(li, sch), rtol=1e-9, atol=1e-5)
 
     def test_dense_from_spark_matches_numpy(self, li, ring_triple):
-        d = ring_triple.to_dense()
+        d = ring_triple.pinned()
         pdf = li.toPandas()
         cont = ["l_quantity", "l_extendedprice", "l_discount", "l_tax"]
         x = pdf[cont].to_numpy()

@@ -104,7 +104,7 @@ class TestLiftContinuous:
 
     def test_empty_block_is_zero(self):
         t = lift_block(block(5).iloc[:0][["a", "b"]], S2)
-        assert t.n == 0 and not t.s and not t.q
+        assert t == Triple.zero(S2)
 
     def test_nan_rejected(self):
         pdf = block(5)[["a", "b"]].copy()
@@ -225,11 +225,20 @@ class TestRingOps:
         cross = lift_block(pd.DataFrame([r]), SMIX)
         assert t.allclose(cross)
 
-    def test_prune_drops_cancelled_entries(self):
+    def test_mul_shared_categorical_attribute(self):
+        """Two categories of one attribute never meet in a product (the key
+        intersection of the relational product): the cell between them is
+        0, while one category meeting itself adds up as a value would."""
+        t = lift_row(SMIX, {"c": "x"}) * lift_row(SMIX, {"c": "y"})
+        assert t.columns == [(-1, None), (2, "x"), (2, "y")]
+        np.testing.assert_array_equal(t.mat, [[1, 1, 1], [1, 1, 0], [1, 0, 1]])
+        t = lift_row(SMIX, {"c": "x"}) * lift_row(SMIX, {"c": "x"})
+        np.testing.assert_array_equal(t.mat, [[1, 2], [2, 4]])
+
+    def test_self_difference_is_zero(self):
         pdf = block(20)
         t = lift_block(pdf, SMIX)
-        z = (t - t).prune(tol=1e-9)
-        assert z.n == 0 and not z.s and not z.q
+        assert t - t == Triple.zero(SMIX)
 
     def test_incompatible_schemas_rejected(self):
         with pytest.raises(ValueError):
@@ -282,40 +291,39 @@ def test_distributivity(a, b, c):
 @settings(max_examples=25, deadline=None)
 @given(triple_strategy())
 def test_additive_inverse(a):
-    z = (a + (-a)).prune(1e-9)
-    assert z.n == 0 and not z.s and not z.q
+    assert a + (-a) == Triple.zero(SMIX)
 
 
 class TestDenseExpansion:
     def test_dense_matches_onehot_xtx(self):
         pdf = block(80, seed=7)
         t = lift_block(pdf, SMIX)
-        d = t.to_dense()
+        d = t.pinned()
         x = onehot_with_bias(pdf, SMIX)
         assert d.mat.shape == (x.shape[1], x.shape[1])
         np.testing.assert_allclose(d.mat, x.T @ x, rtol=1e-9, atol=1e-9)
 
     def test_dense_layout(self):
         pdf = block(20, seed=8)
-        d = lift_block(pdf, SMIX).to_dense()
+        d = lift_block(pdf, SMIX).pinned()
         assert d.columns[0] == (-1, None)
         assert d.columns[1] == (0, None) and d.columns[2] == (1, None)
         cats_c = sorted(pdf["c"].unique().tolist())
         assert [v for (i, v) in d.columns if i == 2] == cats_c
 
     def test_dense_symmetric(self):
-        d = lift_block(block(33, seed=9), SMIX).to_dense()
+        d = lift_block(block(33, seed=9), SMIX).pinned()
         np.testing.assert_allclose(d.mat, d.mat.T)
 
     def test_pinned_categories(self):
         pdf = block(20, seed=10)
         sub = pdf[pdf["c"] != "z"]
-        d = lift_block(sub, SMIX).to_dense(categories={"c": ["x", "y", "z"], "d": [0, 1]})
+        d = lift_block(sub, SMIX).pinned({"c": ["x", "y", "z"], "d": [0, 1]})
         zcol = d.pos[(2, "z")]
         assert d.mat[zcol].sum() == 0  # absent category yields an all-zero column
 
     def test_attr_cols(self):
-        d = lift_block(block(20, seed=11), SMIX).to_dense()
+        d = lift_block(block(20, seed=11), SMIX).pinned()
         assert d.attr_cols(0) == [1]
         assert len(d.attr_cols(2)) == len(set(block(20, seed=11)["c"]))
 
@@ -325,23 +333,44 @@ class TestDenseExpansion:
         whole = lift_block(pdf, SMIX)
         part = lift_block(pdf.iloc[:25], SMIX)
         cats = {c: whole.categories(c) for c in ("c", "d")}
-        d1 = (whole - part).to_dense(categories=cats)
-        d2 = lift_block(pdf.iloc[25:], SMIX).to_dense(categories=cats)
+        d1 = (whole - part).pinned(cats)
+        d2 = lift_block(pdf.iloc[25:], SMIX).pinned(cats)
         np.testing.assert_allclose(d1.mat, d2.mat, atol=1e-8)
 
-    def test_from_dense_round_trip(self):
-        """from_dense inverts to_dense: same keys, values equal. The pinned
-        domain holds a category no row has (left absent again), and some
+    def test_pinned_round_trip(self):
+        """Pinning onto a wider domain and back to the observed one loses
+        nothing. The pinned domain holds a category no row has, and some
         pairs of categories never occur together."""
         pdf = block(40, seed=13, cats=("x", "y"))
         pdf.loc[pdf["c"] == "x", "d"] = 0
         t = lift_block(pdf, SMIX)
-        back = Triple.from_dense(t.to_dense(categories={"c": ["x", "y", "z"],
-                                                        "d": [0, 1]}))
-        assert ("x", 1) not in t.q[(2, 3)]
-        assert back.n == t.n
-        assert back.s.keys() == t.s.keys() and back.q.keys() == t.q.keys()
-        assert back.s == t.s and back.q == t.q
+        wide = t.pinned({"c": ["x", "y", "z"], "d": [0, 1]})
+        back = wide.pinned()
+        assert ("x", 1) not in t.q_of("c", "d")
+        assert wide == t and wide.columns != t.columns
+        assert back.columns == t.columns and np.array_equal(back.mat, t.mat)
+        for a in SMIX.names:
+            assert wide.sum_of(a) == t.sum_of(a)
+            for b in SMIX.names:
+                assert wide.q_of(a, b) == t.q_of(a, b)
 
-    def test_from_dense_of_zero(self):
-        assert Triple.from_dense(Triple.zero(SMIX).to_dense()) == Triple.zero(SMIX)
+    def test_pinned_of_zero(self):
+        z = Triple.zero(SMIX).pinned()
+        assert z == Triple.zero(SMIX)
+        assert z.columns == [(-1, None), (0, None), (1, None)]
+
+
+class TestMixedLayouts:
+    """Triples over different category sets combine on the union layout."""
+
+    def test_disjoint_categories(self):
+        p1 = block(30, seed=14, cats=("x", "y"))
+        p2 = block(20, seed=15, cats=("z",))
+        whole = lift_block(pd.concat([p1, p2], ignore_index=True), SMIX)
+        part = lift_block(p2, SMIX)
+        assert (lift_block(p1, SMIX) + part).allclose(whole, rtol=1e-12, atol=1e-12)
+        rest = whole - part
+        assert rest.sum_of("c") == {k: float(v) for k, v in p1["c"].value_counts().items()}
+        d = rest.pinned({"c": ["x", "y", "z"]})
+        assert not d.mat[d.pos[(2, "z")]].any()
+        assert not d.mat[:, d.pos[(2, "z")]].any()
