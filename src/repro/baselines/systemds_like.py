@@ -6,7 +6,9 @@ These reproduce the *cost structure* Figure 4 attributes to the competitors
 * one-hot encoding of categorical attributes in a materialized preprocessing
   step — every category becomes a physical indicator column;
 * the cofactor matrix computed with O(w²) plain *scalar* SQL aggregates over
-  the one-hot width ``w`` (no ring value, no group-by compaction);
+  the one-hot width ``w`` (no ring value, no group-by compaction): one
+  ``spark_agg.scalar_cofactor`` aggregate, the query ``cofactor_sql`` runs
+  for its continuous block;
 * every column of every iteration retrained from scratch (no computation
   sharing);
 * ``madlib=True`` additionally re-materializes the training projection per
@@ -20,7 +22,6 @@ expressions are shared code, and only the cofactor's cost path differs.
 """
 from __future__ import annotations
 
-import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -29,6 +30,7 @@ from repro.mice.prep import mask_col, prepare
 from repro.mice.step import attr_seed, fit, impute_column
 from repro.mice.timing import TimingLog
 from repro.ring.schema import AttrSchema
+from repro.ring.spark_agg import scalar_cofactor
 from repro.ring.triple import Triple, dense_columns
 
 
@@ -45,25 +47,6 @@ def _encode(df: DataFrame, cols) -> DataFrame:
         if v is not None:
             df = df.withColumn(name, (F.col(attr) == F.lit(v)).cast("double"))
     return df
-
-
-def _scalar_cofactor(df: DataFrame, names: list[str]) -> np.ndarray:
-    """The one-hot cofactor matrix with a bias row/column, from O(w²) scalar
-    SUM aggregates in one wide aggregation."""
-    aggs = [F.count(F.lit(1)).alias("__n")]
-    for i, a in enumerate(names):
-        aggs.append(F.sum(F.col(a)).alias(f"s_{i}"))
-        for j in range(i, len(names)):
-            aggs.append(F.sum(F.col(a) * F.col(names[j])).alias(f"q_{i}_{j}"))
-    row = df.agg(*aggs).collect()[0]
-    p = len(names)
-    mat = np.zeros((p + 1, p + 1))
-    mat[0, 0] = float(row["__n"])
-    for i in range(p):
-        mat[0, i + 1] = float(row[f"s_{i}"] or 0.0)
-        for j in range(i, p):
-            mat[i + 1, j + 1] = float(row[f"q_{i}_{j}"] or 0.0)
-    return np.triu(mat) + np.triu(mat, 1).T
 
 
 def mice_competitor(
@@ -97,7 +80,7 @@ def mice_competitor(
                         *names, mask_col(attr)
                     ).localCheckpoint(eager=True)
             with timing.time("iter.cofactor"):
-                mat = _scalar_cofactor(observed, names)
+                mat = scalar_cofactor(observed, names)
             with timing.time("iter.train"):
                 model = fit(Triple(schema, dense_cols, mat), attr, prep, l2=l2)
             if model is None:

@@ -5,7 +5,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.ring.schema import AttrSchema
 
@@ -34,8 +33,3 @@ class Dataset:
         if self._joined is None:
             self._joined = self.join(self.tables)
         return self._joined
-
-    def to_spark(self, spark: SparkSession, name: str | None = None) -> DataFrame:
-        """A table (or the joined view when ``name`` is None) as a Spark DF."""
-        pdf = self.joined() if name is None else self.tables[name]
-        return spark.createDataFrame(pdf)

@@ -21,8 +21,7 @@ attribute step is one update and one scan, and costs one Spark job:
 
 * the update is a lazy projection of ``missing`` (no job), with the seed
   Algorithm 1 uses for the same (iteration, attribute), so with noise on
-  every variant draws the same noise for the same cell (``partition.py``
-  says why);
+  every variant draws the same noise for the same cell;
 * the scan is one ``cofactor_ring`` pass over ``missing`` with a predicate
   per triple: Low's ``ΔC'`` of this step fused with ``ΔC`` of the next,
   High's observed rows of the next step. It evaluates the pending update.
@@ -46,9 +45,8 @@ table of a normalized schema with missing values in fact columns only.
 Cofactors come from the plan's fold, which pushes the ring SUM past the
 joins, so the wide join is never materialized, and which returns one triple
 per predicate from one job, as ``cofactor_ring`` does; only the rows being
-imputed are enriched with dimension attributes, via broadcast joins. These
-keep the fact's partitions and row order, so the enriched update stays a
-lazy projection too.
+imputed are enriched with dimension attributes, via broadcast joins, so the
+enriched update stays a lazy projection too.
 """
 from __future__ import annotations
 

@@ -17,10 +17,9 @@ from pyspark.sql import DataFrame
 
 from repro.ring.factorized import FactorizedPlan
 from repro.ring.schema import AttrSchema
-from repro.sql import select_sql, sql_ident, sql_literal
+from repro.sql import RID, select_sql, sql_ident, sql_literal
 
 MASK_PREFIX = "__miss_"
-RID = "__rid"
 
 
 def mask_col(attr: str) -> str:
@@ -45,6 +44,9 @@ def prepare(df: DataFrame, schema: AttrSchema, incomplete: list[str],
             plan: FactorizedPlan | None = None) -> Prepared:
     """Add ``__rid``/mask columns and impute initial mean/mode values.
 
+    ``__rid`` is fixed per input frame (the checkpoint below), and the noise
+    of every later update of a row is keyed by it (``models.stochastic``).
+
     Also collects the global category domain of every categorical attribute
     (so model parameter vectors stay aligned across ``C ± ΔC`` updates, cf.
     Section 4 — new categories can never appear after mode imputation).
@@ -66,12 +68,6 @@ def prepare(df: DataFrame, schema: AttrSchema, incomplete: list[str],
     exprs.update({a: f"CAST({q(a)} AS DOUBLE)" for a in attrs if not schema.is_cat(a)})
     exprs[RID] = "monotonically_increasing_id()"
     exprs.update({mask_col(a): f"{q(a)} IS NULL" for a in incomplete})
-
-    # the input keeps its partitions, in order: the per-partition ``rand``
-    # streams of every later update follow them, and each variant must draw
-    # the same noise. A coalesce would regroup them by where the scheduler
-    # last saw a cached input's blocks, which can differ from one call to
-    # the next (cofactor scans cap their own task count in cofactor_ring)
     raw = select_sql(df, [f"{e} AS {q(c)}" for c, e in exprs.items()]
                      ).localCheckpoint(eager=True)
 

@@ -6,9 +6,10 @@ ones. Imputation is a single lazy projection ``CASE WHEN mask THEN pred ELSE
 col END``, parsed from one SQL string — Spark's analogue of the paper's
 column swap. It issues no Spark job: the next scan of the frame evaluates
 it, and the loops checkpoint their frame once per iteration, so a plan
-holds at most one projection per incomplete attribute. Recomputing a
-projection is deterministic, ``rand(seed)`` included, because the frame
-under it is checkpointed and keeps each row's partition and position.
+holds at most one projection per incomplete attribute. A projection is
+deterministic, noise included (a function of ``__rid`` and the seed,
+``models.stochastic``), so every scan that recomputes it sees the same
+values.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .prep import Prepared, mask_col
 
 
 def attr_seed(base: int, iteration: int, attr_idx: int) -> int:
-    """Deterministic per-(iteration, attribute) seed for the noise streams."""
+    """Deterministic per-(iteration, attribute) seed of the noise."""
     return base + 7919 * iteration + 104729 * attr_idx
 
 

@@ -4,17 +4,20 @@ Two functionally-equivalent pipelines, mirroring the paper's Figure-3
 comparison:
 
 * ``cofactor_sql`` — the "standard SQL" baseline: one wide aggregation with
-  O(m^2) scalar ``SUM(Xi * Xj)`` expressions for the continuous block, plus
-  one GROUP BY query per categorical attribute (class counts and per-class
-  continuous sums) and one per categorical pair. This is what a user can
-  write without a custom aggregate, and it is the slow path the ring beats.
+  O(m^2) scalar ``SUM(Xi * Xj)`` expressions for the continuous block
+  (``scalar_cofactor``), plus one GROUP BY query per categorical attribute
+  (class counts and per-class continuous sums) and one per categorical
+  pair. This is what a user can write without a custom aggregate, and it
+  is the slow path the ring beats.
 
 * ``cofactor_ring`` — the paper's ``SUM_TRIPLE``: a single pass that lifts
   whole Arrow batches to partial ``Triple`` values and merges them with ring
-  addition. One Spark job, one scan, no one-hot: a small frame is collected
-  through Arrow and folded on the driver, a larger one in at most one
-  ``mapInPandas`` task per core; ``where=`` returns the triples of several
-  row subsets from that same job.
+  addition. One Spark job, one scan; the lift is the Gram matrix of each
+  batch's one-hot design matrix, built in the worker, so no one-hot column
+  is ever materialized in Spark. A small frame is collected through Arrow
+  and folded on the driver, a larger one in at most one ``mapInPandas``
+  task per core; ``where=`` returns the triples of several row subsets from
+  that same job.
 
 Both return the same ``Triple`` (tests assert bitwise-close equality and
 check individual aggregates against the DuckDB oracle).
@@ -29,7 +32,7 @@ import pandas as pd
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-from repro.sql import select_cols, sql_ident
+from repro.sql import select_cols, select_sql, sql_ident
 
 from .schema import AttrSchema
 from .triple import Triple, dense_columns, lift_rows, triple_sum, _py
@@ -142,6 +145,24 @@ def scan_partials(df: DataFrame, cols: list[str], where: list[Column] | None,
     return [pickle.loads(t) for t in sorted(r.t for r in rows)]
 
 
+def scalar_cofactor(df: DataFrame, cols: list[str]) -> np.ndarray:
+    """``COUNT(*)``, ``SUM(Xi)`` and ``SUM(Xi * Xj)`` of ``cols`` in one
+    wide aggregation (one Spark job): the cofactor matrix with a bias
+    row/column first, then ``cols`` in order."""
+    q = sql_ident
+    aggs = ["count(1)"]
+    for i, a in enumerate(cols):
+        aggs += [f"sum({q(a)})"] + [f"sum({q(a)} * {q(b)})" for b in cols[i:]]
+    vals = iter(float(v or 0.0) for v in select_sql(df, aggs).collect()[0])
+    p = len(cols) + 1
+    mat = np.zeros((p, p))
+    mat[0, 0] = next(vals)
+    for i in range(1, p):
+        for j in [0] + list(range(i, p)):
+            mat[i, j] = mat[j, i] = next(vals)
+    return mat
+
+
 def cofactor_sql(df: DataFrame, schema: AttrSchema,
                  attrs: list[str] | None = None) -> Triple:
     """Compute the same Triple with plain Spark SQL aggregates.
@@ -156,12 +177,7 @@ def cofactor_sql(df: DataFrame, schema: AttrSchema,
     cont = [n for n in names if not schema.is_cat(n)]
     cats = [n for n in names if schema.is_cat(n)]
 
-    aggs = [F.count(F.lit(1)).alias("__n")]
-    for i, a in enumerate(cont):
-        aggs.append(F.sum(F.col(a)).alias(f"__s_{i}"))
-        for j in range(i, len(cont)):
-            aggs.append(F.sum(F.col(a) * F.col(cont[j])).alias(f"__q_{i}_{j}"))
-    row = df.agg(*aggs).collect()[0]
+    moments = scalar_cofactor(df, cont)
     sums = [F.sum(F.col(a)).alias(f"__s_{k}") for k, a in enumerate(cont)]
     by_cat = {c: df.groupBy(c).agg(F.count(F.lit(1)).alias("__n"), *sums).collect()
               for c in cats}
@@ -175,12 +191,8 @@ def cofactor_sql(df: DataFrame, schema: AttrSchema,
         mat[pos[a], pos[b]] = mat[pos[b], pos[a]] = float(v or 0.0)
 
     bias = (-1, None)
-    put(bias, bias, row["__n"])
-    for i, a in enumerate(cont):
-        ka = (schema.index(a), None)
-        put(bias, ka, row[f"__s_{i}"])
-        for j in range(i, len(cont)):
-            put(ka, (schema.index(cont[j]), None), row[f"__q_{i}_{j}"])
+    at = [pos[bias]] + [pos[(schema.index(a), None)] for a in cont]
+    mat[np.ix_(at, at)] = moments
 
     for c, rows in by_cat.items():
         for r in rows:

@@ -16,6 +16,10 @@ from typing import Any
 import numpy as np
 from pyspark.sql import DataFrame
 
+#: The row id ``mice.prep.prepare`` adds to every row; the noise of a
+#: stochastic prediction is a function of it (``models.stochastic``).
+RID = "__rid"
+
 
 def sql_literal(v: Any) -> str:
     """``v`` as a Spark SQL literal that parses back to exactly ``v``: a

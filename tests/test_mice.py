@@ -26,7 +26,7 @@ from repro.mice import (
     prepare,
     run_mice,
 )
-from repro.mice.step import apply_imputation, fit
+from repro.mice.step import apply_imputation, fit, impute_column
 from repro.ring import AttrSchema, cofactor_ring
 
 SF = 0.0004  # ~2k rows — enough signal, fast iterations
@@ -252,6 +252,25 @@ class TestNoiseEquivalence:
                     err_msg=f"{v} diverges from baseline on {a}",
                 )
             assert (out[v]["diverted"] == base["diverted"]).all(), v
+
+
+class TestNoiseKeyedByRowId:
+    def test_imputation_ignores_the_partition_layout(self, three, data):
+        """A cell's noise is a function of its ``__rid`` and the seed only:
+        the same imputations over a repartitioned or coalesced frame."""
+        schema = data["ds"].schema
+        prep = prepare(three, schema, THREE)
+        model = fit(cofactor_ring(prep.df, schema), "airtime", prep)
+        assert model.sigma2 > 0
+        new = impute_column(model, "airtime", prep, seed=5, noise=True)
+
+        def imputed(df):
+            return (df.select("__rid", new.alias("v")).toPandas()
+                    .sort_values("__rid").reset_index(drop=True))
+
+        base = imputed(prep.df)
+        for df in (prep.df.repartition(7), prep.df.coalesce(1)):
+            pd.testing.assert_frame_equal(imputed(df), base)
 
 
 @pytest.fixture(scope="module")

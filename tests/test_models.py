@@ -127,7 +127,8 @@ class TestStochastic:
         pdf = cont_block(n=4000, noise=0.5)
         m = train_stochastic(lift_block(pdf, SCONT), "y")
         sigma = math.sqrt(m.sigma2)
-        sdf = spark.createDataFrame(pdf)
+        sdf = spark.createDataFrame(pdf).withColumn(
+            "__rid", F.monotonically_increasing_id())
         noisy = sdf.select(predict_stochastic_expr(m, seed=7).alias("p")).toPandas()["p"]
         clean = m.predict_np(pdf)
         # rows keep their order through a projection-only plan
@@ -138,7 +139,9 @@ class TestStochastic:
     def test_noise_deterministic_given_seed(self, spark):
         pdf = cont_block(n=50)
         m = train_stochastic(lift_block(pdf, SCONT), "y")
-        sdf = spark.createDataFrame(pdf).repartition(4).cache()
+        sdf = (spark.createDataFrame(pdf)
+               .withColumn("__rid", F.monotonically_increasing_id())
+               .repartition(4).cache())
         sdf.count()
         a = sdf.select(predict_stochastic_expr(m, seed=3).alias("p")).toPandas()["p"]
         b = sdf.select(predict_stochastic_expr(m, seed=3).alias("p")).toPandas()["p"]
