@@ -40,7 +40,9 @@ def _uniform_sql(seed: int) -> str:
 def box_muller_sql(sigma: float, seed: int) -> str:
     """N(0, sigma²) sample per row as Spark SQL, keyed by the row id.
 
-    ``1 - u`` keeps U₁ in (0, 1] so the log never sees 0.
+    The expression reads the ``repro.sql.RID`` column, so the frame it is
+    evaluated on must carry one. ``1 - u`` keeps U₁ in (0, 1] so the log
+    never sees 0.
     """
     u1 = f"1.0D - {_uniform_sql(seed)}"
     u2 = _uniform_sql(seed + 1_000_003)
@@ -49,7 +51,12 @@ def box_muller_sql(sigma: float, seed: int) -> str:
 
 
 def predict_stochastic_sql(model: RidgeModel, seed: int, noise: bool = True) -> str:
-    """θᵀx (+ Box–Muller noise) as one Spark SQL expression."""
+    """θᵀx (+ Box–Muller noise) as one Spark SQL expression.
+
+    With noise on (``noise`` and ``sigma2 > 0``) the expression reads
+    ``repro.sql.RID`` (see ``box_muller_sql``), so the frame must carry it;
+    without noise it reads the model's features only.
+    """
     sql = model.predict_sql()
     if noise and model.sigma2 > 0:
         sql = f"({sql}) + ({box_muller_sql(math.sqrt(model.sigma2), seed)})"
@@ -57,5 +64,6 @@ def predict_stochastic_sql(model: RidgeModel, seed: int, noise: bool = True) -> 
 
 
 def predict_stochastic_expr(model: RidgeModel, seed: int, noise: bool = True) -> Column:
-    """``predict_stochastic_sql`` as a single Spark projection's expression."""
+    """``predict_stochastic_sql`` as a single Spark projection's expression;
+    with noise on, the frame must carry ``repro.sql.RID``."""
     return F.expr(predict_stochastic_sql(model, seed, noise))
