@@ -2,7 +2,7 @@
 from .baseline import MiceResult, mice_baseline
 from .high import mice_high
 from .low import mice_low
-from .partition import Partitions, partition
+from .partition import partition
 from .prep import Prepared, mask_col, prepare
 from .timing import TimingLog
 
@@ -30,7 +30,6 @@ __all__ = [
     "prepare",
     "Prepared",
     "partition",
-    "Partitions",
     "mask_col",
     "TimingLog",
     "VARIANTS",

@@ -1,6 +1,6 @@
 """MICE Algorithm 2 — computation sharing over missing/observed partitions.
 
-One loop runs both of the paper's partitionings (``partition.py``):
+One loop runs both of the paper's partitionings:
 
 * ``mode="low"`` — one global cofactor Triple ``C`` over the
   initially-imputed data (excluding the all-missing partition, which
@@ -16,7 +16,8 @@ One loop runs both of the paper's partitionings (``partition.py``):
   rows with that attribute observed; at high missing rates those are few.
 
 The data is two checkpointed frames, ``complete`` (never rewritten) and
-``missing``; the paper's partitions are predicates over ``missing``. Each
+``missing`` (``partition.py``); the paper's other partitions are the
+predicates each step scans ``missing`` with (``step_rows``). Each
 attribute step is one update and one scan, and costs one Spark job:
 
 * the update is a lazy projection of ``missing`` (no job), with the seed
@@ -37,8 +38,8 @@ iteration's projections unevaluated.
 
 A step that imputes nothing (the attribute has no missing value, or its
 training set is empty so ``fit`` returns no model) rewrites nothing, scans
-no ``ΔC'`` and leaves Low's ``C`` as it was. Counts are fixed at prepare
-time (masks never change), so that check issues no Spark job.
+no ``ΔC'`` and leaves Low's ``C`` as it was. The masked counts come from
+``prepare`` (masks never change), so that check issues no Spark job.
 
 With a ``FactorizedPlan`` (Section 6.3, Figure 6) the input is the fact
 table of a normalized schema with missing values in fact columns only.
@@ -69,6 +70,20 @@ _PHASES = {"low": ("preprocess.global_cofactor", "iter.delta_cofactor"),
           "high": ("preprocess.complete_cofactor", "iter.cofactor")}
 
 
+def step_rows(mode: str, incomplete: list[str], attr: str) -> Column:
+    """The rows of ``missing`` whose cofactor the ``attr`` step moves.
+
+    Low: ``mask(attr) ∧ nmiss < m``, the rows taken out of ``C`` (Alg. 2
+    l. 5): ``single[attr]`` plus the ``overflow`` rows with ``attr``
+    missing, the all-missing partition excluded. High: ``¬mask(attr) ∧
+    nmiss > 0``, the rows added to ``C_complete``: the incomplete rows with
+    ``attr`` observed.
+    """
+    m, nmiss = len(incomplete), n_missing(incomplete)
+    mask = F.col(mask_col(attr))
+    return mask & (nmiss < m) if mode == "low" else ~mask & (nmiss > 0)
+
+
 def algorithm2(
     df: DataFrame,
     schema: AttrSchema,
@@ -90,15 +105,10 @@ def algorithm2(
     with timing.time("preprocess.prepare"):
         prep = prepare(df, schema, incomplete, plan=plan)
     with timing.time("preprocess.partition"):
-        parts = partition(prep, mode=mode)
+        complete, missing = partition(prep)
     m = len(incomplete)
     nmiss = n_missing(incomplete)
-
-    def step_rows(attr: str) -> Column:
-        # rows taken out of C (low: `attr` missing, not in `none`, Alg. 2
-        # l. 5) or added to C_complete (high: `attr` observed, not complete)
-        mask = F.col(mask_col(attr))
-        return mask & (nmiss < m) if low else ~mask & (nmiss > 0)
+    rows = partial(step_rows, mode, incomplete)
 
     # scan(frame, where=preds): the cofactor of each predicate's rows of
     # frame, in one pass
@@ -110,17 +120,17 @@ def algorithm2(
         # low: C over everything that can appear in a training set (Alg. 2
         # line 2); high: the complete part every training set shares. Both
         # fused with the first step's scan.
-        c, delta = scan(parts.union_all(), where=[
-            nmiss < m if low else nmiss == 0, step_rows(incomplete[0])])
+        c, delta = scan(complete.unionByName(missing), where=[
+            nmiss < m if low else nmiss == 0, rows(incomplete[0])])
     for k, (it, ai, attr) in enumerate(steps):
         c_train = c - delta if low else c + delta
         with timing.time("iter.train"):
             model = fit(c_train, attr, prep, l2=l2)
-        updated = model is not None and parts.count_of(mask_col(attr)) != 0
+        updated = model is not None and prep.masked[attr] != 0
         if updated:
             with timing.time("iter.update"):
-                parts.missing = apply_imputation(
-                    parts.missing, model, attr, prep, attr_seed(seed, it, ai),
+                missing = apply_imputation(
+                    missing, model, attr, prep, attr_seed(seed, it, ai),
                     noise, enrich,
                 )
         if k + 1 == len(steps):
@@ -128,18 +138,18 @@ def algorithm2(
         if ai + 1 == m:
             # another iteration follows: cut the m stacked update projections
             # from the plan, materialized by the next scan
-            parts.missing = parts.missing.localCheckpoint(eager=False)
+            missing = missing.localCheckpoint(eager=False)
         with timing.time(scan_phase):
             # low: ΔC′(attr) over the freshly imputed rows, fused with the
             # next step's ΔC (no ΔC′ when nothing was imputed: C stands as
             # it was); high: the next step's observed rows
-            nxt = step_rows(steps[k + 1][2])
-            *fresh, delta = scan(parts.missing, where=[step_rows(attr), nxt]
+            nxt = rows(steps[k + 1][2])
+            *fresh, delta = scan(missing, where=[rows(attr), nxt]
                                  if low and updated else [nxt])
         if fresh:
             c = c_train + fresh[0]
 
-    return MiceResult(df=parts.union_all(), timing=timing, prep=prep)
+    return MiceResult(df=complete.unionByName(missing), timing=timing, prep=prep)
 
 
 def mice_low(df: DataFrame, schema: AttrSchema, incomplete: list[str], *,

@@ -25,8 +25,6 @@ from typing import Any
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column
-from pyspark.sql import functions as F
 
 from repro.ring.schema import AttrSchema
 from repro.ring.triple import Triple
@@ -54,10 +52,6 @@ class LDAModel:
         classes = "array({})".format(", ".join(map(sql_literal, self.classes)))
         return (f"element_at({classes}, "
                 f"CAST(array_position({scores}, array_max({scores})) AS INT))")
-
-    def predict_expr(self) -> Column:
-        """``predict_sql`` as a Catalyst expression."""
-        return F.expr(self.predict_sql())
 
     def predict_np(self, pdf: pd.DataFrame) -> np.ndarray:
         """Driver-side prediction (for tests/evaluation)."""

@@ -26,8 +26,6 @@ from typing import Any
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column
-from pyspark.sql import functions as F
 
 from repro.ring.schema import AttrSchema
 from repro.ring.triple import Triple
@@ -76,10 +74,6 @@ class RidgeModel:
         """Spark SQL computing θᵀx over the feature columns."""
         return linear_sql(self.schema, self.features[1:], self.theta[1:],
                           self.theta[0])
-
-    def predict_expr(self) -> Column:
-        """``predict_sql`` as a Catalyst expression."""
-        return F.expr(self.predict_sql())
 
     def predict_np(self, pdf: pd.DataFrame) -> np.ndarray:
         """Driver-side prediction over a pandas frame (for evaluation)."""

@@ -16,9 +16,6 @@ from __future__ import annotations
 
 import math
 
-from pyspark.sql import Column
-from pyspark.sql import functions as F
-
 from repro.ring.triple import Triple
 from repro.sql import RID, sql_ident, sql_literal
 
@@ -62,8 +59,3 @@ def predict_stochastic_sql(model: RidgeModel, seed: int, noise: bool = True) -> 
         sql = f"({sql}) + ({box_muller_sql(math.sqrt(model.sigma2), seed)})"
     return sql
 
-
-def predict_stochastic_expr(model: RidgeModel, seed: int, noise: bool = True) -> Column:
-    """``predict_stochastic_sql`` as a single Spark projection's expression;
-    with noise on, the frame must carry ``repro.sql.RID``."""
-    return F.expr(predict_stochastic_sql(model, seed, noise))

@@ -23,9 +23,12 @@ from repro.mice import (
     mice_baseline,
     mice_high,
     mice_low,
+    partition,
     prepare,
     run_mice,
 )
+from repro.mice.low import step_rows
+from repro.mice.partition import n_missing
 from repro.mice.step import apply_imputation, fit, impute_column
 from repro.ring import AttrSchema, cofactor_ring
 
@@ -143,30 +146,41 @@ class TestQuality:
 
 
 class TestSharingInvariant:
-    def test_c_minus_delta_equals_observed_cofactor(self, spark, data):
-        """Alg. 2 lines 5-6 == Alg. 1 line 4 on the actual prepared data."""
-        from repro.mice import partition, prepare
-        from repro.ring import triple_sum
+    """The training cofactor each step derives from the loop's own
+    predicates (``step_rows``) equals Algorithm 1's cofactor of the rows
+    with the attribute observed, for every attribute."""
 
+    @pytest.fixture(scope="class")
+    def split(self, data):
         ds = data["ds"]
         prep = prepare(data["sdf"], ds.schema, ds.incomplete)
-        parts = partition(prep, mode="low")
-        schema = ds.schema
-        c = triple_sum(
-            [
-                cofactor_ring(parts.complete, schema),
-                cofactor_ring(parts.overflow, schema),
-                *[cofactor_ring(parts.single[a], schema) for a in ds.incomplete],
-            ],
-            schema,
-        )
-        attr = "airtime"
-        mask = F.col(mask_col(attr))
-        delta = cofactor_ring(parts.single[attr], schema) + cofactor_ring(
-            parts.overflow.filter(mask), schema
-        )
-        direct = cofactor_ring(prep.df.filter(~mask), schema)
-        assert (c - delta).allclose(direct, rtol=1e-7, atol=1e-3)
+        return prep, *partition(prep)
+
+    def observed(self, prep):
+        return [cofactor_ring(prep.df.filter(~F.col(mask_col(a))), prep.schema)
+                for a in prep.incomplete]
+
+    def test_c_minus_delta_equals_observed_cofactor(self, split):
+        """Low: ``C − ΔC`` (Alg. 2 lines 5-6) == Alg. 1 line 4."""
+        prep, complete, missing = split
+        inc, schema = prep.incomplete, prep.schema
+        (c,) = cofactor_ring(complete.unionByName(missing), schema,
+                             where=[n_missing(inc) < len(inc)])
+        deltas = cofactor_ring(missing, schema,
+                               where=[step_rows("low", inc, a) for a in inc])
+        for a, delta, direct in zip(inc, deltas, self.observed(prep)):
+            assert (c - delta).allclose(direct, rtol=1e-7, atol=1e-3), a
+
+    def test_c_complete_plus_observed_rows_equals_observed_cofactor(self, split):
+        """High: ``C_complete`` plus the step's rows of ``missing`` ==
+        Alg. 1 line 4."""
+        prep, complete, missing = split
+        inc, schema = prep.incomplete, prep.schema
+        c_complete = cofactor_ring(complete, schema)
+        adds = cofactor_ring(missing, schema,
+                             where=[step_rows("high", inc, a) for a in inc])
+        for a, add, direct in zip(inc, adds, self.observed(prep)):
+            assert (c_complete + add).allclose(direct, rtol=1e-7, atol=1e-3), a
 
 
 class TestMisc:
@@ -183,6 +197,11 @@ class TestMisc:
         t = TimingLog()
         mice_baseline(data["sdf"], ds.schema, ds.incomplete, iters=1, timing=t)
         assert t.phases["iter.cofactor"] > 0 and t.phases["iter.update"] > 0
+
+    @pytest.mark.parametrize("variant", ["baseline", "low", "high"])
+    def test_no_incomplete_attribute_rejected(self, data, variant):
+        with pytest.raises(ValueError, match="no incomplete attribute"):
+            run_mice(data["sdf"], data["ds"].schema, [], variant=variant)
 
     def test_unknown_variant(self, data):
         with pytest.raises(ValueError, match="variant"):
@@ -307,8 +326,6 @@ class TestWideInput:
             assert (out[v]["diverted"] == base["diverted"]).all(), v
 
     def test_prepare_keeps_partitions_in_two_jobs(self, spark, wide, data):
-        from repro.mice import prepare
-
         box = {}
         jobs = spark_jobs(spark, lambda: box.setdefault(
             "prep", prepare(wide, data["ds"].schema, THREE)))
@@ -408,19 +425,17 @@ class TestActionsPerRound:
 
     @pytest.mark.parametrize("mode", ["low", "high"])
     def test_partition_jobs(self, spark, three, data, mode):
-        from repro.mice import partition, prepare
-
-        prep = prepare(three, data["ds"].schema, THREE)
-        sc = spark.sparkContext
-        group = f"test-partition-{mode}"
-        sc.setJobGroup(group, "partition")
-        try:
-            parts = partition(prep, mode=mode)
-        finally:
-            sc.setLocalProperty("spark.jobGroup.id", None)
-        sc._jsc.sc().listenerBus().waitUntilEmpty()
-        assert 0 < len(sc.statusTracker().getJobIdsForGroup(group)) <= 3
-        assert parts.count_of("complete") + parts.count_of("missing") == three.count()
+        """Two checkpoints, at Low's (20 %) and High's (60 %) missing rate."""
+        frame = three
+        if mode == "high":
+            pdf, _ = inject_missing(data["truth"], THREE, 0.6, "MCAR", seed=2)
+            frame = spark.createDataFrame(pdf)
+        prep = prepare(frame, data["ds"].schema, THREE)
+        box = {}
+        jobs = spark_jobs(spark, lambda: box.setdefault("parts", partition(prep)))
+        assert 0 < jobs <= 3
+        complete, missing = box["parts"]
+        assert complete.count() + missing.count() == frame.count()
 
 
 _GROUPS = itertools.count()
@@ -443,20 +458,17 @@ class TestLazyUpdates:
     def test_scans_of_a_lazy_frame_are_identical(self, three, data):
         """Stacked noise-on updates stay a lazy projection of ``missing``;
         each scan recomputes it, and two scans give bit-identical triples."""
-        from repro.mice import partition, prepare
-        from repro.mice.step import apply_imputation, fit
-
         schema = data["ds"].schema
         prep = prepare(three, schema, THREE)
-        parts = partition(prep, mode="low")
-        c = cofactor_ring(parts.union_all(), schema)
-        lazy = parts.missing
+        complete, missing = partition(prep)
+        c = cofactor_ring(complete.unionByName(missing), schema)
+        lazy = missing
         for seed, attr in enumerate(THREE):
             lazy = apply_imputation(lazy, fit(c, attr, prep), attr, prep,
                                     seed=seed, noise=True)
         where = [F.col(mask_col(a)) for a in THREE]
         first, second = (cofactor_ring(lazy, schema, where=where) for _ in range(2))
-        before = cofactor_ring(parts.missing, schema, where=where)
+        before = cofactor_ring(missing, schema, where=where)
         for a, t1, t2, t0 in zip(THREE, first, second, before):
             assert t1 == t2, a
             if not schema.is_cat(a):  # the noisy imputations did land

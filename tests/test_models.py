@@ -8,12 +8,8 @@ from pyspark.sql import functions as F
 
 from repro.ring import AttrSchema, lift_block
 from repro.models.linreg import linear_sql, sql_ident, sql_literal
-from repro.models import (
-    predict_stochastic_expr,
-    train_lda,
-    train_ridge,
-    train_stochastic,
-)
+from repro.models import train_lda, train_ridge, train_stochastic
+from repro.models.stochastic import predict_stochastic_sql
 
 SCONT = AttrSchema.of(continuous=["x1", "x2", "x3", "y"])
 SMIX = AttrSchema.of(continuous=["x1", "x2", "y"], categorical=["g", "lbl"])
@@ -108,7 +104,7 @@ class TestRidge:
         pdf = mixed_block(n=200)
         m = train_ridge(lift_block(pdf, SMIX), "y", l2=1e-6)
         sdf = spark.createDataFrame(pdf)
-        got = sdf.select(m.predict_expr().alias("p")).toPandas()["p"].to_numpy()
+        got = sdf.select(F.expr(m.predict_sql()).alias("p")).toPandas()["p"].to_numpy()
         np.testing.assert_allclose(np.sort(got), np.sort(m.predict_np(pdf)), rtol=1e-8)
 
 
@@ -117,7 +113,8 @@ class TestStochastic:
         pdf = cont_block(n=100)
         m = train_stochastic(lift_block(pdf, SCONT), "y")
         sdf = spark.createDataFrame(pdf)
-        got = sdf.select(predict_stochastic_expr(m, seed=1, noise=False).alias("p"))
+        got = sdf.select(
+            F.expr(predict_stochastic_sql(m, seed=1, noise=False)).alias("p"))
         np.testing.assert_allclose(
             np.sort(got.toPandas()["p"]), np.sort(m.predict_np(pdf)), rtol=1e-8
         )
@@ -129,7 +126,8 @@ class TestStochastic:
         sigma = math.sqrt(m.sigma2)
         sdf = spark.createDataFrame(pdf).withColumn(
             "__rid", F.monotonically_increasing_id())
-        noisy = sdf.select(predict_stochastic_expr(m, seed=7).alias("p")).toPandas()["p"]
+        noisy = sdf.select(
+            F.expr(predict_stochastic_sql(m, seed=7)).alias("p")).toPandas()["p"]
         clean = m.predict_np(pdf)
         # rows keep their order through a projection-only plan
         eps = noisy.to_numpy() - clean
@@ -143,8 +141,8 @@ class TestStochastic:
                .withColumn("__rid", F.monotonically_increasing_id())
                .repartition(4).cache())
         sdf.count()
-        a = sdf.select(predict_stochastic_expr(m, seed=3).alias("p")).toPandas()["p"]
-        b = sdf.select(predict_stochastic_expr(m, seed=3).alias("p")).toPandas()["p"]
+        a, b = (sdf.select(F.expr(predict_stochastic_sql(m, seed=3)).alias("p"))
+                .toPandas()["p"] for _ in range(2))
         np.testing.assert_allclose(np.sort(a), np.sort(b))
         sdf.unpersist()
 
@@ -196,7 +194,7 @@ class TestLDA:
         m = train_lda(lift_block(pdf, SMIX), "lbl")
         sdf = spark.createDataFrame(pdf)
         got = sdf.select(
-            m.predict_expr().alias("p"), "x1"
+            F.expr(m.predict_sql()).alias("p"), "x1"
         ).toPandas().sort_values("x1")["p"].to_numpy()
         exp_df = pdf.copy()
         exp_df["p"] = m.predict_np(pdf)
@@ -210,7 +208,7 @@ class TestLDA:
         m = train_lda(lift_block(pdf, sch), "lbl")
         assert set(m.classes) == {0, 1}
         sdf = spark.createDataFrame(pdf)
-        preds = sdf.select(m.predict_expr().alias("p")).toPandas()["p"]
+        preds = sdf.select(F.expr(m.predict_sql()).alias("p")).toPandas()["p"]
         assert set(preds.unique()) <= {0, 1}
 
     def test_priors_dominate_without_signal(self):

@@ -355,9 +355,9 @@ class TestDriverFold:
                                 0.2, "MCAR", seed=3)
         df = spark.createDataFrame(pdf).repartition(3).localCheckpoint(eager=True)
         prep = prepare(df, LI_SCHEMA, inc)
-        parts = partition(prep, mode="low")
-        c = cofactor_ring(parts.union_all(), LI_SCHEMA)
-        lazy = parts.missing
+        complete, missing = partition(prep)
+        c = cofactor_ring(complete.unionByName(missing), LI_SCHEMA)
+        lazy = missing
         for seed, attr in enumerate(inc):
             lazy = apply_imputation(lazy, fit(c, attr, prep), attr, prep,
                                     seed=seed, noise=True)
